@@ -31,7 +31,7 @@ use serde::Serialize;
 use sid_alert::{cef_line, jsonl_line, AlertEdge};
 use sid_bench::common::write_json;
 use sid_core::SystemTrace;
-use sid_dst::{check_all, RunReport, Sabotage, Scenario};
+use sid_dst::{check_all, RunReport, Sabotage, Scenario, Variant};
 use sid_obs::{render_journal, Obs, StageCounts};
 
 /// FNV-1a over the journal bytes: a cheap, stable run fingerprint.
@@ -128,9 +128,11 @@ fn main() {
         let mut scenario = Scenario::generate(seed);
         assert!(scenario.alert_storm, "seed {seed} is not a storm seed");
         // The sweep below *is* this binary's thread-equivalence check;
-        // the oracle-level rerun flags would only duplicate it.
-        scenario.check_threads = false;
-        scenario.check_stream = false;
+        // the oracle-level tick-loop and streamed reruns would only
+        // duplicate it.
+        scenario
+            .variants
+            .retain(|v| !matches!(v, Variant::Threads(_) | Variant::Streamed { .. }));
 
         let baseline = run_storm(&scenario, threads_swept[0]);
         simulations += 1;

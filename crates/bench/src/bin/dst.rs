@@ -8,7 +8,9 @@
 //! empty array, so CI can diff it).
 //!
 //! Usage: `dst [--seeds N] [--seed-start S] [--seed n] [--threads N]
-//! [--quick] [--sabotage] [--fleet] [--no-write]`
+//! [--quick] [--sabotage] [--fleet] [--no-write]`. An unknown flag or an
+//! unparsable value prints the usage and exits 2 before anything runs
+//! or is written.
 //!
 //! * default: 200 seeds from 1000 (`--quick`: 40) fanned over the
 //!   worker pool. Each scenario itself runs single-threaded, so
@@ -22,7 +24,7 @@
 //! * `--fleet` expands seeds through `Scenario::fleet` instead of
 //!   `Scenario::generate`: free-form coastlines of 200–2000 duty-cycled
 //!   nodes, every one re-run through the event scheduler by the
-//!   `scheduler_equivalence` oracle. Use a seed range disjoint from the
+//!   `variant_equivalence` oracle. Use a seed range disjoint from the
 //!   committed smoke population, with `--no-write`.
 //! * `--no-write` runs as a pure gate: the exit code and printed
 //!   fingerprint stand, but `results/DST_*.json` are left untouched
@@ -34,6 +36,64 @@ use std::time::Instant;
 use sid_bench::common::write_json;
 use sid_dst::{check_all, execute, shrink, FailureRecord, Sabotage, Scenario, SHRINK_BUDGET};
 use sid_obs::{fnv1a, Event, Obs, RunSummary, StageCounts};
+
+const USAGE: &str = "usage: dst [--seeds N] [--seed-start S] [--seed n] [--threads N] \
+                     [--quick] [--sabotage] [--fleet] [--no-write]";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    seeds: Option<u64>,
+    seed_start: Option<u64>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    quick: bool,
+    sabotage: bool,
+    fleet: bool,
+    no_write: bool,
+}
+
+/// Parses the command line, rejecting unknown flags and unparsable
+/// values (a typo like `--seed 10O7` must not fall through to a full
+/// population run that rewrites the committed results).
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let switch = match name {
+            "--quick" => &mut out.quick,
+            "--sabotage" => &mut out.sabotage,
+            "--fleet" => &mut out.fleet,
+            "--no-write" => &mut out.no_write,
+            "--seeds" | "--seed-start" | "--seed" | "--threads" => {
+                let value = inline
+                    .or_else(|| iter.next().map(String::as_str))
+                    .ok_or_else(|| format!("{name} needs a value"))?;
+                let n: u64 = value
+                    .parse()
+                    .map_err(|_| format!("{name}: '{value}' is not a non-negative integer"))?;
+                match name {
+                    "--seeds" => out.seeds = Some(n),
+                    "--seed-start" => out.seed_start = Some(n),
+                    "--seed" => out.seed = Some(n),
+                    _ if n == 0 => return Err("--threads must be at least 1".to_string()),
+                    _ => out.threads = Some(n as usize),
+                }
+                continue;
+            }
+            _ => return Err(format!("unknown argument '{arg}'")),
+        };
+        if inline.is_some() {
+            return Err(format!("{name} takes no value"));
+        }
+        *switch = true;
+    }
+    Ok(out)
+}
 
 struct SeedOutcome {
     seed: u64,
@@ -73,30 +133,28 @@ fn replay_one(seed: u64, sabotage: Sabotage, fleet: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(threads) = sid_exec::threads_from_args(&args) {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|err| {
+        eprintln!("dst: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if let Some(threads) = args.threads {
         sid_exec::set_global_threads(threads);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let sabotage = if args.iter().any(|a| a == "--sabotage") {
+    let sabotage = if args.sabotage {
         Sabotage::LooseQuorum
     } else {
         Sabotage::None
     };
-    let flag_value = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    let fleet = args.iter().any(|a| a == "--fleet");
-    if let Some(seed) = flag_value("--seed") {
+    let fleet = args.fleet;
+    if let Some(seed) = args.seed {
         replay_one(seed, sabotage, fleet);
         return;
     }
-    let seed_start = flag_value("--seed-start").unwrap_or(1000);
-    let seeds = flag_value("--seeds")
-        .unwrap_or(if quick { 40 } else { 200 })
+    let seed_start = args.seed_start.unwrap_or(1000);
+    let seeds = args
+        .seeds
+        .unwrap_or(if args.quick { 40 } else { 200 })
         .max(1) as usize;
     println!(
         "=== DST: {seeds}{} seeds from {seed_start}{} ===",
@@ -169,7 +227,7 @@ fn main() {
         }
     }
     env_obs.flush();
-    if args.iter().any(|a| a == "--no-write") {
+    if args.no_write {
         println!("[--no-write: results/DST_*.json left untouched]");
     } else {
         write_json("DST_failures", &failures);
@@ -196,5 +254,48 @@ fn main() {
     );
     if !failures.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let args = parse("--seeds 24 --seed-start 4000 --threads=2 --fleet --no-write")
+            .expect("valid command line");
+        assert_eq!(
+            args,
+            Args {
+                seeds: Some(24),
+                seed_start: Some(4000),
+                threads: Some(2),
+                fleet: true,
+                no_write: true,
+                ..Args::default()
+            }
+        );
+        assert_eq!(parse("").expect("empty is valid"), Args::default());
+    }
+
+    #[test]
+    fn rejects_unparsable_values() {
+        assert!(parse("--seed 10O7").unwrap_err().contains("10O7"));
+        assert!(parse("--seeds x").unwrap_err().contains("--seeds"));
+        assert!(parse("--threads 0").is_err());
+        assert!(parse("--seed-start").unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        assert!(parse("--seed 1 --sabotge").unwrap_err().contains("--sabotge"));
+        assert!(parse("1000").is_err());
+        assert!(parse("--quick=yes").is_err());
     }
 }

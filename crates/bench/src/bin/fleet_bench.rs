@@ -34,6 +34,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use sid_bench::common::write_json;
+use sid_bench::gate::{self, GateError};
 use sid_core::{DutyCycleConfig, IntrusionDetectionSystem, SystemConfig};
 use sid_net::{NeighborIndex, Position, Topology};
 use sid_obs::fnv1a;
@@ -258,57 +259,34 @@ fn print_report(r: &FleetReport) {
     );
 }
 
-fn committed_real_time_ratio() -> Result<f64, String> {
-    let path = std::path::Path::new("results/BENCH_fleet.json");
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline: serde::Value =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    baseline
-        .as_map()
-        .and_then(|m| serde::map_get(m, "real_time_ratio").ok())
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{} has no real_time_ratio", path.display()))
-}
-
-/// The `--check` gate: quick measurement, hard identity asserts, exit
-/// non-zero unless the fleet beats real time and stays within
-/// [`CHECK_FLOOR`]× of the committed baseline. Writes no JSON.
-fn run_check() -> ! {
-    let committed = match committed_real_time_ratio() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("fleet_bench --check: {e}");
-            std::process::exit(2);
-        }
-    };
+/// The `--check` gate: quick measurement, hard identity checks, fail
+/// unless the fleet beats real time and stays within [`CHECK_FLOOR`]×
+/// of the committed baseline (read before measuring). Writes no JSON.
+fn run_check() -> Result<Option<String>, GateError> {
+    let committed = gate::committed_f64("results/BENCH_fleet.json", &["real_time_ratio"])?;
     let report = measure(true);
     print_report(&report);
     if !report.index_tables_identical {
-        eprintln!("fleet_bench --check: FAIL — neighbor indexes built different tables");
-        std::process::exit(1);
+        return Err(GateError::Failed(
+            "neighbor indexes built different tables".to_string(),
+        ));
     }
     if !report.fingerprints_identical {
-        eprintln!(
-            "fleet_bench --check: FAIL — journal fingerprints diverged across \
-             threads/index/driver"
-        );
-        std::process::exit(1);
+        return Err(GateError::Failed(
+            "journal fingerprints diverged across threads/index/driver".to_string(),
+        ));
     }
     let floor = (CHECK_FLOOR * committed).max(1.0);
     if report.real_time_ratio < floor {
-        eprintln!(
-            "fleet_bench --check: FAIL — {:.0}x real time under the floor {floor:.0}x \
-             (committed baseline {committed:.0}x)",
+        return Err(GateError::Failed(format!(
+            "{:.0}x real time under the floor {floor:.0}x (committed baseline {committed:.0}x)",
             report.real_time_ratio
-        );
-        std::process::exit(1);
+        )));
     }
-    println!(
-        "fleet_bench --check: OK ({:.0}x real time, floor {floor:.0}x)",
+    Ok(Some(format!(
+        "{:.0}x real time, floor {floor:.0}x",
         report.real_time_ratio
-    );
-    std::process::exit(0);
+    )))
 }
 
 fn main() {
@@ -318,7 +296,7 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     if args.iter().any(|a| a == "--check") {
-        run_check();
+        gate::exit("fleet_bench", run_check());
     }
     println!(
         "=== fleet_bench{} ===",

@@ -13,7 +13,7 @@
 //! duty leases); the event loop touches only the active set and keeps
 //! every deferred deadline in a heap. Both runs must produce
 //! byte-identical journals — the speedup is an optimization, never a
-//! semantic change (the `scheduler_equivalence` DST oracle enforces the
+//! semantic change (the `variant_equivalence` DST oracle enforces the
 //! same contract across random scenarios).
 //!
 //! With `--check` the binary becomes a perf gate: it measures the quick
@@ -28,6 +28,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use sid_bench::common::write_json;
+use sid_bench::gate::{self, GateError};
 use sid_core::{DutyCycleConfig, IntrusionDetectionSystem, SystemConfig};
 use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
 
@@ -140,24 +141,23 @@ fn print_report(r: &SchedReport) {
     );
 }
 
-/// The `--check` gate: quick measurement, hard equivalence assert, exit
-/// non-zero under a [`CHECK_FLOOR`]× speedup. Writes no JSON.
-fn run_check(threads: usize) -> ! {
+/// The `--check` gate: quick measurement, hard equivalence check, fail
+/// under a [`CHECK_FLOOR`]× speedup. Writes no JSON.
+fn run_check(threads: usize) -> Result<Option<String>, GateError> {
     let report = measure(true, threads);
     print_report(&report);
     if !report.journals_identical {
-        eprintln!("sched_bench --check: FAIL — event-driven run diverged from the tick sweep");
-        std::process::exit(1);
+        return Err(GateError::Failed(
+            "event-driven run diverged from the tick sweep".to_string(),
+        ));
     }
     if report.speedup < CHECK_FLOOR {
-        eprintln!(
-            "sched_bench --check: FAIL — event loop only {:.1}x faster (floor {CHECK_FLOOR}x)",
+        return Err(GateError::Failed(format!(
+            "event loop only {:.1}x faster (floor {CHECK_FLOOR}x)",
             report.speedup
-        );
-        std::process::exit(1);
+        )));
     }
-    println!("sched_bench --check: OK");
-    std::process::exit(0);
+    Ok(None)
 }
 
 fn main() {
@@ -168,7 +168,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let threads = sid_exec::global().threads();
     if args.iter().any(|a| a == "--check") {
-        run_check(threads);
+        gate::exit("sched_bench", run_check(threads));
     }
     println!(
         "=== sched_bench: {threads} worker threads{} ===",

@@ -34,6 +34,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use sid_bench::common::write_json;
+use sid_bench::gate::{self, GateError};
 use sid_dst::{Sabotage, Scenario};
 use sid_serve::{SessionId, SessionManager, SessionReport, SessionSpec};
 
@@ -218,59 +219,35 @@ fn print_report(r: &ServeReport) {
     );
 }
 
-fn committed_real_time_ratio() -> Result<f64, String> {
-    let path = std::path::Path::new("results/BENCH_serve.json");
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline: serde::Value =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    baseline
-        .as_map()
-        .and_then(|m| serde::map_get(m, "real_time_ratio").ok())
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{} has no real_time_ratio", path.display()))
-}
-
-/// The `--check` gate: quick measurement, hard determinism asserts,
-/// exit non-zero unless the multiplexed service beats real time and
-/// stays within [`CHECK_FLOOR`]× of the committed baseline. Writes no
-/// JSON.
-fn run_check() -> ! {
-    let committed = match committed_real_time_ratio() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("serve_bench --check: {e}");
-            std::process::exit(2);
-        }
-    };
+/// The `--check` gate: quick measurement, hard determinism checks,
+/// fail unless the multiplexed service beats real time and stays within
+/// [`CHECK_FLOOR`]× of the committed baseline (read before measuring).
+/// Writes no JSON.
+fn run_check() -> Result<Option<String>, GateError> {
+    let committed = gate::committed_f64("results/BENCH_serve.json", &["real_time_ratio"])?;
     let report = measure(true);
     print_report(&report);
     if !report.fingerprints_identical {
-        eprintln!(
-            "serve_bench --check: FAIL — per-tenant fingerprints diverged across pool widths"
-        );
-        std::process::exit(1);
+        return Err(GateError::Failed(
+            "per-tenant fingerprints diverged across pool widths".to_string(),
+        ));
     }
     if !report.migration_fingerprint_matches {
-        eprintln!(
-            "serve_bench --check: FAIL — checkpoint/migrate/resume changed a tenant journal"
-        );
-        std::process::exit(1);
+        return Err(GateError::Failed(
+            "checkpoint/migrate/resume changed a tenant journal".to_string(),
+        ));
     }
     let floor = (CHECK_FLOOR * committed).max(1.0);
     if report.real_time_ratio < floor {
-        eprintln!(
-            "serve_bench --check: FAIL — {:.0}x real time under the floor {floor:.0}x \
-             (committed baseline {committed:.0}x)",
+        return Err(GateError::Failed(format!(
+            "{:.0}x real time under the floor {floor:.0}x (committed baseline {committed:.0}x)",
             report.real_time_ratio
-        );
-        std::process::exit(1);
+        )));
     }
-    println!(
-        "serve_bench --check: OK ({:.0}x real time aggregate, floor {floor:.0}x)",
+    Ok(Some(format!(
+        "{:.0}x real time aggregate, floor {floor:.0}x",
         report.real_time_ratio
-    );
-    std::process::exit(0);
+    )))
 }
 
 fn main() {
@@ -280,7 +257,7 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     if args.iter().any(|a| a == "--check") {
-        run_check();
+        gate::exit("serve_bench", run_check());
     }
     println!("=== serve_bench{} ===", if quick { " (quick)" } else { "" });
     let report = measure(quick);

@@ -32,6 +32,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use sid_bench::common::{harbor_sea, northbound_scene, write_json};
+use sid_bench::gate::{self, GateError};
 use sid_core::{IntrusionDetectionSystem, SystemConfig};
 use sid_ocean::Vec2;
 use sid_stream::{StreamConfig, StreamDriverConfig, StreamEngine, StreamExt};
@@ -189,35 +190,13 @@ fn bench_driver(quick: bool) -> DriverComparison {
 /// Fraction of the committed throughput the gate still accepts.
 const CHECK_FLOOR: f64 = 0.8;
 
-/// The committed engine throughput from `results/BENCH_stream.json`,
-/// read *before* any measurement so a failing run cannot judge itself
-/// against numbers it produced.
-fn committed_samples_per_sec() -> Result<f64, String> {
-    let path = std::path::Path::new("results/BENCH_stream.json");
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let baseline: serde::Value =
-        serde_json::from_str(&json).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    baseline
-        .as_map()
-        .and_then(|m| serde::map_get(m, "engine").ok())
-        .and_then(|engine| engine.as_map())
-        .and_then(|m| serde::map_get(m, "samples_per_sec").ok())
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("{} has no engine.samples_per_sec", path.display()))
-}
-
-/// The `--check` regression gate: measure the engine section and exit
-/// non-zero if throughput dropped more than 20% below the committed
-/// baseline. Writes no JSON.
-fn run_check(quick: bool, threads: usize) -> ! {
-    let committed = match committed_samples_per_sec() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("stream_bench --check: {e}");
-            std::process::exit(2);
-        }
-    };
+/// The `--check` regression gate: read the committed
+/// `engine.samples_per_sec` *before* measuring, re-measure the engine
+/// section and fail if throughput dropped more than 20% below it.
+/// Writes no JSON.
+fn run_check(quick: bool, threads: usize) -> Result<Option<String>, GateError> {
+    let committed =
+        gate::committed_f64("results/BENCH_stream.json", &["engine", "samples_per_sec"])?;
     let engine = bench_engine(quick);
     let floor = CHECK_FLOOR * committed;
     println!(
@@ -226,15 +205,12 @@ fn run_check(quick: bool, threads: usize) -> ! {
         engine.samples_per_sec
     );
     if engine.samples_per_sec < floor {
-        eprintln!(
-            "stream_bench --check: FAIL — engine throughput regressed more than {:.0}% \
-             below the committed baseline",
+        return Err(GateError::Failed(format!(
+            "engine throughput regressed more than {:.0}% below the committed baseline",
             100.0 * (1.0 - CHECK_FLOOR)
-        );
-        std::process::exit(1);
+        )));
     }
-    println!("stream_bench --check: OK");
-    std::process::exit(0);
+    Ok(None)
 }
 
 fn main() {
@@ -245,7 +221,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let threads = sid_exec::global().threads();
     if args.iter().any(|a| a == "--check") {
-        run_check(quick, threads);
+        gate::exit("stream_bench", run_check(quick, threads));
     }
     println!(
         "=== stream_bench: {threads} worker threads{} ===",

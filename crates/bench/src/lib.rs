@@ -17,6 +17,7 @@
 //! | Fig. 12 (speed estimation) | [`speed_eval::fig12`] | `fig12_speed` |
 
 pub mod common;
+pub mod gate;
 pub mod node_level;
 pub mod spectra;
 pub mod speed_eval;

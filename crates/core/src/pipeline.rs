@@ -492,7 +492,7 @@ impl IntrusionDetectionSystem {
     /// identical to the unsharded run — sensing is pure and results are
     /// placed by index, Phase B stays sequential in node order, and the
     /// lane merge reproduces the single-queue delivery order exactly
-    /// (the DST `shard_equivalence` oracle enforces this on fuzzed
+    /// (the DST `variant_equivalence` oracle enforces this on fuzzed
     /// scenarios). `shards <= 1` removes the partition.
     pub fn with_shards(mut self, shards: usize) -> Self {
         if shards <= 1 {
@@ -1465,7 +1465,7 @@ impl IntrusionDetectionSystem {
     ///
     /// Semantics are bit-for-bit identical to [`run`](Self::run): same
     /// journal, same trace, same clock, same per-node energy — the DST
-    /// `scheduler_equivalence` oracle enforces it on fuzzed scenarios.
+    /// `variant_equivalence` oracle enforces it on fuzzed scenarios.
     /// The difference is purely mechanical. `run` touches all N nodes
     /// every tick; this driver keeps a sorted active set plus a
     /// time-ordered [`EventHeap`] of typed wake-ups ([`SchedEvent`]) and
@@ -1604,7 +1604,6 @@ impl IntrusionDetectionSystem {
             slept_now.clear();
             while let Some((_, ev)) = heap.pop_due(self.now) {
                 match ev {
-                    SchedEvent::NodeSample(_) => {}
                     SchedEvent::DutyWake(idx) => wake_due.push(idx),
                     SchedEvent::DutySleep(idx) => sleep_due.push(idx),
                     SchedEvent::OutageEnd(idx) => outage_due.push(idx),
@@ -1613,9 +1612,8 @@ impl IntrusionDetectionSystem {
                     SchedEvent::RadioDelivery => delivery_marker = None,
                     SchedEvent::ClusterDeadline => cluster_marker = None,
                     SchedEvent::AlertFlush => alert_marker = None,
-                    // Retunes consult `self.retunes` directly below;
-                    // sink expiry is handled inside `ingest`.
-                    SchedEvent::RetuneAt | SchedEvent::SinkExpiry => {}
+                    // Retunes consult `self.retunes` directly below.
+                    SchedEvent::RetuneAt => {}
                 }
             }
 

@@ -16,7 +16,7 @@
 //! calls yields the same pop order, bit for bit, regardless of how the
 //! underlying `BinaryHeap` happens to arrange equal keys. This is the
 //! same `(time, seq)` discipline as `sid-net`'s delivery queue, and it
-//! is what the DST `scheduler_equivalence` oracle leans on.
+//! is what the DST `variant_equivalence` oracle leans on.
 //!
 //! Consumers that need a *semantic* order within one tick (e.g. the
 //! pipeline processes node events in ascending node index so the shared
@@ -62,9 +62,6 @@ impl EventTime {
 /// says "this kind of work may be due now".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedEvent {
-    /// Node `idx` (re)joins the sampling set at this tick: run start,
-    /// wake-up after duty sleep, or outage recovery.
-    NodeSample(usize),
     /// Node `idx` was invited while asleep and starts sampling at the
     /// next tick (invites land in the delivery phase; the tick loop
     /// first sees `wake_until > now` one tick later).
@@ -86,11 +83,6 @@ pub enum SchedEvent {
     RadioDelivery,
     /// Some active cluster's collection window closes at this time.
     ClusterDeadline,
-    /// Reserved: sink-side incident expiry. The sink tracker currently
-    /// expires incidents inside `ingest`, so the pipeline never needs
-    /// to wake for it; the variant documents where a future tick-free
-    /// sink sweep would hang.
-    SinkExpiry,
     /// The alerting edge has a coalesced summary due to flush.
     AlertFlush,
     /// A scheduled detection retune applies at this time.
@@ -216,9 +208,9 @@ mod tests {
     fn pops_in_time_order() {
         let mut h = EventHeap::new();
         h.schedule(EventTime::Absolute(3.0), 0.0, SchedEvent::FaultDue);
-        h.schedule(EventTime::Absolute(1.0), 0.0, SchedEvent::NodeSample(4));
+        h.schedule(EventTime::Absolute(1.0), 0.0, SchedEvent::DutyWake(4));
         h.schedule(EventTime::Absolute(2.0), 0.0, SchedEvent::RadioDelivery);
-        assert_eq!(h.pop_due(10.0), Some((1.0, SchedEvent::NodeSample(4))));
+        assert_eq!(h.pop_due(10.0), Some((1.0, SchedEvent::DutyWake(4))));
         assert_eq!(h.pop_due(10.0), Some((2.0, SchedEvent::RadioDelivery)));
         assert_eq!(h.pop_due(10.0), Some((3.0, SchedEvent::FaultDue)));
         assert_eq!(h.pop_due(10.0), None);
@@ -229,14 +221,14 @@ mod tests {
     fn equal_times_pop_in_insertion_order() {
         let mut h = EventHeap::new();
         for idx in [9, 2, 7, 0, 5] {
-            h.schedule(EventTime::Absolute(1.5), 0.0, SchedEvent::NodeSample(idx));
+            h.schedule(EventTime::Absolute(1.5), 0.0, SchedEvent::DutyWake(idx));
         }
         let order: Vec<_> = std::iter::from_fn(|| h.pop_due(1.5))
             .map(|(_, e)| e)
             .collect();
         let want: Vec<_> = [9, 2, 7, 0, 5]
             .into_iter()
-            .map(SchedEvent::NodeSample)
+            .map(SchedEvent::DutyWake)
             .collect();
         assert_eq!(order, want, "ties must break by insertion sequence");
     }
@@ -269,7 +261,7 @@ mod tests {
     fn len_tracks_pending_events() {
         let mut h = EventHeap::new();
         assert_eq!(h.len(), 0);
-        h.schedule(EventTime::Absolute(1.0), 0.0, SchedEvent::SinkExpiry);
+        h.schedule(EventTime::Absolute(1.0), 0.0, SchedEvent::FaultDue);
         h.schedule(EventTime::Absolute(1.0), 0.0, SchedEvent::RetuneAt);
         assert_eq!(h.len(), 2);
         h.pop_due(1.0);

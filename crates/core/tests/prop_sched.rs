@@ -33,7 +33,7 @@ proptest! {
             } else {
                 EventTime::Delta(t)
             };
-            let at = heap.schedule(when, now, SchedEvent::NodeSample(i));
+            let at = heap.schedule(when, now, SchedEvent::DutyWake(i));
             prop_assert_eq!(at.to_bits(), (now + t).to_bits());
             resolved.push((at, i));
         }
@@ -44,7 +44,7 @@ proptest! {
         let mut popped: Vec<(f64, usize)> = Vec::new();
         while let Some((t, ev)) = heap.pop_due(f64::INFINITY) {
             match ev {
-                SchedEvent::NodeSample(i) => popped.push((t, i)),
+                SchedEvent::DutyWake(i) => popped.push((t, i)),
                 other => prop_assert!(false, "unexpected event {other:?}"),
             }
         }
@@ -64,10 +64,10 @@ proptest! {
         let insert_all = |order: &[usize]| {
             let mut heap = EventHeap::new();
             for &id in order {
-                heap.schedule(EventTime::Absolute(7.0), 0.0, SchedEvent::NodeSample(id));
+                heap.schedule(EventTime::Absolute(7.0), 0.0, SchedEvent::DutyWake(id));
             }
             let mut out = Vec::new();
-            while let Some((t, SchedEvent::NodeSample(id))) = heap.pop_due(7.0) {
+            while let Some((t, SchedEvent::DutyWake(id))) = heap.pop_due(7.0) {
                 prop_assert_eq!(t.to_bits(), 7.0f64.to_bits());
                 out.push(id);
             }
@@ -94,7 +94,7 @@ proptest! {
             heap.schedule(
                 EventTime::Absolute(f64::from(slot)),
                 0.0,
-                SchedEvent::NodeSample(i),
+                SchedEvent::DutyWake(i),
             );
         }
         let deadline = f64::from(cut);

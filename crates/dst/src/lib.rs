@@ -13,8 +13,11 @@
 //! The three layers:
 //!
 //! * [`Scenario`] — seeded scenario generation and execution
-//!   ([`Scenario::generate`], [`execute`]).
-//! * [`oracle`] — journal-driven invariants ([`oracle::check_all`]).
+//!   ([`Scenario::generate`], [`execute`], and the [`Variant`] reruns a
+//!   seed carries).
+//! * [`oracle`] — journal-driven invariants ([`oracle::check_all`]):
+//!   twelve on every run, plus the differential `variant_equivalence`
+//!   and `frontend_equivalence` selected by `Scenario::variants`.
 //! * [`mod@shrink`] — greedy scenario minimization
 //!   ([`shrink::shrink`], [`FailureRecord`]).
 //!
@@ -39,7 +42,7 @@ pub mod shrink;
 
 pub use oracle::{check_all, Violation};
 pub use scenario::{
-    execute, execute_events, execute_sharded, execute_streamed, execute_with_threads, FleetSpec,
-    RunReport, Sabotage, Scenario, SeaKind, ShipSpec,
+    execute, execute_with_threads, FleetSpec, RunReport, Sabotage, Scenario, SeaKind, ShipSpec,
+    Variant,
 };
 pub use shrink::{shrink, FailureRecord, ShrinkResult, SHRINK_BUDGET};

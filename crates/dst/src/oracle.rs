@@ -22,18 +22,15 @@
 //! | `time_monotone_and_bounded` | event times are non-decreasing and inside `[0, duration]` |
 //! | `incident_ids_well_formed` | incident ids are allocated contiguously; duplicates reference known incidents |
 //! | `outage_lifecycle` | `NodeUp` only follows an unrecovered outage; no event resurrects a dead node |
-//! | `thread_journal_equivalence` | the journal is byte-identical at 1/2/4/8 worker threads |
-//! | `stream_journal_equivalence` | the `sid-stream` driver reproduces the offline journal byte-for-byte at 1/2/4/8 threads and varied chunk sizes |
 //! | `alert_suppression_correct` | an independent alert-edge replay reproduces every emit/suppress/coalesce/reload decision; no suppressed alert is lost without a matching summary record; token-bucket accounting is exact |
-//! | `frontend_equivalence` | the default rfft/Goertzel/Parseval fast spectral front-end and the legacy full-complex path agree on a seed-derived stream: alarms bit-identical, window verdicts equal, wavelet observable within 0.05 |
-//! | `scheduler_equivalence` | the event-driven scheduler (`run_events`) reproduces the fixed-tick sweep's journal, stage counts, trace and final clock byte-for-byte |
-//! | `shard_equivalence` | partitioning the deployment into K ∈ {2, 4} spatial shards reproduces the unsharded journal byte-for-byte at 1/2/4/8 worker threads, including across a mid-episode `sid-serve` checkpoint/migrate/resume that changes both the pool width and the shard count |
+//! | `variant_equivalence` | every rerun in `scenario.variants` — wider worker pools, the `sid-stream` driver, the event-driven scheduler, spatial shards, and `sid-serve` two-advance and checkpoint/migrate/resume sessions — reproduces the baseline journal, stage counts and trace byte-for-byte (the serve legs: the journal fingerprint) |
+//! | `frontend_equivalence` | on `Variant::LegacyFrontEnd` scenarios, the default rfft/Goertzel/Parseval fast spectral front-end and the legacy full-complex path agree on a seed-derived stream: alarms bit-identical, window verdicts equal, wavelet observable within 0.05 |
 
 use sid_alert::{AlertEdge, AlertInput};
 use sid_obs::{Event, StageCounts};
 use sid_ocean::MPS_PER_KNOT;
 
-use crate::scenario::{execute_with_threads, RunReport, Sabotage};
+use crate::scenario::{execute_variant, Rerun, RunReport, Sabotage, Variant};
 
 /// One failed invariant: which oracle fired and a human-readable detail
 /// naming the offending event(s).
@@ -49,10 +46,9 @@ fn fail(out: &mut Vec<Violation>, oracle: &'static str, detail: String) {
     out.push(Violation { oracle, detail });
 }
 
-/// Runs every oracle over one execution's journal, trace and counts.
-/// `check_threads` scenarios additionally re-run the simulation at
-/// 2/4/8 worker threads (three extra simulations) to pin the journal
-/// determinism contract.
+/// Runs every oracle over one execution's journal, trace and counts,
+/// then checks each entry of `scenario.variants` in order (each rerun
+/// costs one extra simulation or `sid-serve` session).
 pub fn check_all(report: &RunReport) -> Vec<Violation> {
     let mut v = Vec::new();
     sink_no_double_accept(report, &mut v);
@@ -67,20 +63,12 @@ pub fn check_all(report: &RunReport) -> Vec<Violation> {
     incident_ids_well_formed(report, &mut v);
     outage_lifecycle(report, &mut v);
     alert_suppression_correct(report, &mut v);
-    if report.scenario.check_threads {
-        thread_journal_equivalence(report, &mut v);
-    }
-    if report.scenario.check_stream {
-        stream_journal_equivalence(report, &mut v);
-    }
-    if report.scenario.check_frontend {
-        frontend_equivalence(report, &mut v);
-    }
-    if report.scenario.check_sched {
-        scheduler_equivalence(report, &mut v);
-    }
-    if report.scenario.check_shard {
-        shard_equivalence(report, &mut v);
+    for &variant in &report.scenario.variants {
+        if variant == Variant::LegacyFrontEnd {
+            frontend_equivalence(report, &mut v);
+        } else {
+            variant_equivalence(report, variant, &mut v);
+        }
     }
     v
 }
@@ -610,191 +598,35 @@ fn alert_suppression_correct(report: &RunReport, out: &mut Vec<Violation>) {
     }
 }
 
-/// The determinism contract: the journal is a pure function of the
-/// scenario, so re-running at 2/4/8 worker threads must reproduce the
-/// baseline journal byte-for-byte (and the same stage counts).
-fn thread_journal_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
-    for threads in [2usize, 4, 8] {
-        let rerun = execute_with_threads(&report.scenario, report.sabotage, threads);
-        if rerun.journal != report.journal {
-            fail(
-                out,
-                "thread_journal_equivalence",
-                format!("journal diverged at {threads} threads"),
-            );
-        } else if rerun.counts != report.counts {
-            fail(
-                out,
-                "thread_journal_equivalence",
-                format!("stage counts diverged at {threads} threads"),
-            );
+/// The differential contract: the journal is a pure function of the
+/// scenario, so thread count, the streaming driver, the event-driven
+/// scheduler, spatial sharding and `sid-serve` session chunking or
+/// migration are execution strategies, never semantic changes. The
+/// `variant` rerun must reproduce the baseline journal, stage counts and
+/// trace byte-for-byte; the serve legs expose only a journal
+/// fingerprint, and a failed serve call is itself a violation.
+fn variant_equivalence(report: &RunReport, variant: Variant, out: &mut Vec<Violation>) {
+    let diverged = match execute_variant(&report.scenario, report.sabotage, variant) {
+        Err(err) => Some(err),
+        Ok(Rerun::Report(rerun)) => {
+            if rerun.journal != report.journal {
+                Some("journal diverged".to_string())
+            } else if rerun.counts != report.counts {
+                Some("stage counts diverged".to_string())
+            } else if rerun.trace != report.trace {
+                Some("trace diverged".to_string())
+            } else {
+                None
+            }
         }
-    }
-}
-
-/// The streaming driver must reproduce the offline tick loop's journal
-/// byte-for-byte. Each rerun pairs a pool width with a different chunk
-/// size (including a degenerate 1-tick chunk and chunks spanning many
-/// refills) so both axes of the streaming machinery get exercised.
-fn stream_journal_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
-    for (threads, chunk_ticks) in [(1usize, 1usize), (2, 7), (4, 32), (8, 125)] {
-        let rerun =
-            crate::scenario::execute_streamed(&report.scenario, report.sabotage, threads, chunk_ticks);
-        if rerun.journal != report.journal {
-            fail(
-                out,
-                "stream_journal_equivalence",
-                format!("streamed journal diverged at {threads} threads, {chunk_ticks}-tick chunks"),
-            );
-        } else if rerun.counts != report.counts {
-            fail(
-                out,
-                "stream_journal_equivalence",
-                format!("streamed counts diverged at {threads} threads, {chunk_ticks}-tick chunks"),
-            );
-        } else if rerun.trace != report.trace {
-            fail(
-                out,
-                "stream_journal_equivalence",
-                format!("streamed trace diverged at {threads} threads, {chunk_ticks}-tick chunks"),
-            );
-        }
-    }
-}
-
-/// The scheduler contract: the event-driven driver (`run_events`) —
-/// which skips fully-idle ticks, charges sleepers lazily and maintains
-/// an active set from a deadline heap instead of sweeping all N nodes
-/// every tick — is an *optimization*, not a semantic change. Re-running
-/// the scenario through it must reproduce the tick sweep's journal
-/// byte-for-byte, plus identical stage counts, trace and a bit-equal
-/// final clock.
-fn scheduler_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
-    let rerun = crate::scenario::execute_events(&report.scenario, report.sabotage);
-    if rerun.journal != report.journal {
-        fail(
-            out,
-            "scheduler_equivalence",
-            "event-driven journal diverged from the tick sweep".to_string(),
-        );
-    } else if rerun.counts != report.counts {
-        fail(
-            out,
-            "scheduler_equivalence",
-            "event-driven stage counts diverged from the tick sweep".to_string(),
-        );
-    } else if rerun.trace != report.trace {
-        fail(
-            out,
-            "scheduler_equivalence",
-            "event-driven trace diverged from the tick sweep".to_string(),
-        );
-    }
-}
-
-/// The region-sharding contract: partitioning the deployment into K
-/// spatial shards — Phase A sensing fanned out per shard, radio
-/// deliveries queued on per-shard scheduler lanes and merged back in
-/// `(time, seq)` order — is an *execution strategy*, not a semantic
-/// change. Three legs:
-///
-/// 1. sharded `run_events` reruns at K ∈ {2, 4} across 1/2/4/8 worker
-///    threads must reproduce the unsharded journal, counts and trace
-///    byte-for-byte;
-/// 2. driving the same scenario through a `sid-serve` session in two
-///    advance calls must land on the same journal bytes as the
-///    single-call run (chunking the clock is invisible);
-/// 3. a mid-episode checkpoint → migrate (different pool width *and*
-///    shard count) → resume must land on that same fingerprint — the
-///    resume integrity gate plus the final comparison pin the whole
-///    migration path.
-fn shard_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
-    use sid_serve::{SessionManager, SessionSpec};
-
-    for (threads, shards) in [(1usize, 2usize), (4, 2), (2, 4), (8, 4)] {
-        let rerun =
-            crate::scenario::execute_sharded(&report.scenario, report.sabotage, threads, shards);
-        if rerun.journal != report.journal {
-            fail(
-                out,
-                "shard_equivalence",
-                format!("sharded journal diverged at {threads} threads, {shards} shards"),
-            );
-        } else if rerun.counts != report.counts {
-            fail(
-                out,
-                "shard_equivalence",
-                format!("sharded counts diverged at {threads} threads, {shards} shards"),
-            );
-        } else if rerun.trace != report.trace {
-            fail(
-                out,
-                "shard_equivalence",
-                format!("sharded trace diverged at {threads} threads, {shards} shards"),
-            );
-        }
-    }
-
-    let scenario = &report.scenario;
-    let sabotage = report.sabotage;
-    let half = (scenario.duration / 2.0).floor().max(1.0);
-    let rest = scenario.duration - half;
-
-    // Leg 2: a continuous two-advance session must match the
-    // single-call baseline journal bit-for-bit.
-    let mut cont = SessionManager::with_threads(2);
-    let c = cont.open(
-        SessionSpec::new("dst", scenario.seed).with_shards(2),
-        || scenario.build_bare(sabotage),
-    );
-    cont.advance(c, half).expect("session open");
-    cont.advance(c, rest).expect("session open");
-    let baseline = sid_obs::fnv1a(0, report.journal.as_bytes());
-    let continuous = cont.session(c).expect("session open").fingerprint();
-    if continuous != baseline {
-        fail(
-            out,
-            "shard_equivalence",
-            format!(
-                "two-advance session journal diverged from the single-call run \
-                 ({continuous:016x} vs {baseline:016x})"
-            ),
-        );
-        return;
-    }
-
-    // Leg 3: checkpoint at the same split, migrate onto a different
-    // pool width and shard count, finish, compare.
-    let mut source = SessionManager::with_threads(1);
-    let id = source.open(
-        SessionSpec::new("dst", scenario.seed).with_shards(2),
-        || scenario.build_bare(sabotage),
-    );
-    source.advance(id, half).expect("session open");
-    let ckpt = source.checkpoint(id).expect("session open");
-    let mut target = SessionManager::with_threads(4);
-    let resumed = match target.resume_with_shards(&ckpt, 4, || scenario.build_bare(sabotage)) {
-        Ok(id) => id,
-        Err(err) => {
-            fail(
-                out,
-                "shard_equivalence",
-                format!("mid-episode migration rejected at the integrity gate: {err}"),
-            );
-            return;
+        Ok(Rerun::Fingerprint(rerun)) => {
+            let baseline = sid_obs::fnv1a(0, report.journal.as_bytes());
+            (rerun != baseline)
+                .then(|| format!("journal diverged ({rerun:016x} vs {baseline:016x})"))
         }
     };
-    target.advance(resumed, rest).expect("session open");
-    let migrated = target.session(resumed).expect("session open").fingerprint();
-    if migrated != baseline {
-        fail(
-            out,
-            "shard_equivalence",
-            format!(
-                "journal diverged across checkpoint/migrate/resume \
-                 ({migrated:016x} vs {baseline:016x})"
-            ),
-        );
+    if let Some(what) = diverged {
+        fail(out, "variant_equivalence", format!("{variant:?}: {what}"));
     }
 }
 
@@ -871,52 +703,43 @@ fn frontend_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
     let fast = run(fast_config);
     let legacy = run(legacy_config);
 
+    if let Some(detail) = front_end_divergence(&fast, &legacy) {
+        fail(out, "frontend_equivalence", detail);
+    }
+}
+
+/// The first disagreement between the fast and legacy output streams.
+fn front_end_divergence(
+    fast: &[sid_stream::StreamOutput],
+    legacy: &[sid_stream::StreamOutput],
+) -> Option<String> {
+    use sid_stream::StreamOutput::{Alarm, Window};
+
     if fast.len() != legacy.len() {
-        fail(
-            out,
-            "frontend_equivalence",
-            format!(
-                "fast front-end produced {} outputs, legacy {}",
-                fast.len(),
-                legacy.len()
-            ),
-        );
-        return;
+        return Some(format!(
+            "fast front-end produced {} outputs, legacy {}",
+            fast.len(),
+            legacy.len()
+        ));
     }
-    if !fast
-        .iter()
-        .any(|o| matches!(o, StreamOutput::Window { .. }))
-    {
-        fail(
-            out,
-            "frontend_equivalence",
-            "comparison stream completed no windows — the check is vacuous".to_string(),
-        );
-        return;
+    if !fast.iter().any(|o| matches!(o, Window { .. })) {
+        return Some("comparison stream completed no windows — the check is vacuous".to_string());
     }
-    for (i, (f, l)) in fast.iter().zip(&legacy).enumerate() {
-        match (f, l) {
+    fast.iter()
+        .zip(legacy)
+        .enumerate()
+        .find_map(|(i, (f, l))| match (f, l) {
+            (Alarm { node: fa, report: fr }, Alarm { node: la, report: lr }) => (fa != la
+                || fr != lr)
+                .then(|| format!("alarm {i} diverged between front-ends: {f:?} vs {l:?}")),
             (
-                StreamOutput::Alarm { node: fa, report: fr },
-                StreamOutput::Alarm { node: la, report: lr },
-            ) => {
-                if fa != la || fr != lr {
-                    fail(
-                        out,
-                        "frontend_equivalence",
-                        format!("alarm {i} diverged between front-ends: {f:?} vs {l:?}"),
-                    );
-                    return;
-                }
-            }
-            (
-                StreamOutput::Window {
+                Window {
                     node: fa,
                     end_sample: fe,
                     peak_hz: fp,
                     classification: fc,
                 },
-                StreamOutput::Window {
+                Window {
                     node: la,
                     end_sample: le,
                     peak_hz: lp,
@@ -924,37 +747,19 @@ fn frontend_equivalence(report: &RunReport, out: &mut Vec<Violation>) {
                 },
             ) => {
                 if fa != la || fe != le || fp != lp || fc.class != lc.class {
-                    fail(
-                        out,
-                        "frontend_equivalence",
-                        format!("window {i} verdict diverged: {f:?} vs {l:?}"),
-                    );
-                    return;
+                    return Some(format!("window {i} verdict diverged: {f:?} vs {l:?}"));
                 }
                 let drift = (fc.low_frequency_fraction - lc.low_frequency_fraction).abs();
-                if !drift.is_finite() || drift > 0.05 {
-                    fail(
-                        out,
-                        "frontend_equivalence",
-                        format!(
-                            "window {i} wavelet observable drifted {drift:.4} \
-                             (fast {:.4} vs legacy {:.4})",
-                            fc.low_frequency_fraction, lc.low_frequency_fraction
-                        ),
-                    );
-                    return;
-                }
+                (!drift.is_finite() || drift > 0.05).then(|| {
+                    format!(
+                        "window {i} wavelet observable drifted {drift:.4} \
+                         (fast {:.4} vs legacy {:.4})",
+                        fc.low_frequency_fraction, lc.low_frequency_fraction
+                    )
+                })
             }
-            _ => {
-                fail(
-                    out,
-                    "frontend_equivalence",
-                    format!("output {i} kind diverged: {f:?} vs {l:?}"),
-                );
-                return;
-            }
-        }
-    }
+            _ => Some(format!("output {i} kind diverged: {f:?} vs {l:?}")),
+        })
 }
 
 #[cfg(test)]
@@ -966,11 +771,7 @@ mod tests {
         // Seed 3 draws a small grid; keep the oracle unit tests cheap.
         let mut scenario = Scenario::generate(3);
         scenario.duration = 60.0;
-        scenario.check_threads = false;
-        scenario.check_stream = false;
-        scenario.check_frontend = false;
-        scenario.check_sched = false;
-        scenario.check_shard = false;
+        scenario.variants.clear();
         execute(&scenario, Sabotage::None)
     }
 
@@ -1040,6 +841,28 @@ mod tests {
         // incident 0 was legitimately fresh on its first accept; the
         // duplicate accept is the double-accept oracle's job, not the
         // id-allocation oracle's.
+    }
+
+    #[test]
+    fn tampered_baseline_fails_every_listed_variant() {
+        let mut scenario = Scenario::generate(3);
+        scenario.duration = 20.0;
+        scenario.variants.clear();
+        let mut report = execute(&scenario, Sabotage::None);
+        // Every rerun kind: threads and streamed (seed 16), events (2),
+        // sharded and both serve legs (5).
+        report.scenario.variants = [16, 2, 5].into_iter().flat_map(Variant::for_seed).collect();
+        report.journal.push('\n');
+        let violations: Vec<Violation> = check_all(&report)
+            .into_iter()
+            .filter(|v| v.oracle == "variant_equivalence")
+            .collect();
+        // One violation per variant, in list order: the oracle checks
+        // every rerun instead of stopping at the first divergence.
+        assert_eq!(violations.len(), report.scenario.variants.len(), "{violations:?}");
+        for (v, variant) in violations.iter().zip(&report.scenario.variants) {
+            assert!(v.detail.starts_with(&format!("{variant:?}: ")), "{v:?}");
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use sid_core::{DetectionRetune, DutyCycleConfig, IntrusionDetectionSystem, Syste
 use sid_net::{FaultEvent, FaultPlan, FaultPlanConfig, GilbertElliott, Position, Topology};
 use sid_obs::{Event, Obs, StageCounts, WallStats};
 use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
+use sid_serve::{ServeError, SessionManager, SessionSpec};
 use sid_stream::{StreamDriverConfig, StreamExt};
 
 /// Which wave spectrum the scenario's sea is synthesized from.
@@ -78,6 +79,80 @@ pub struct FleetSpec {
     pub sentinel_every: usize,
 }
 
+/// One alternative execution strategy a scenario is re-run under. The
+/// journal is a pure function of the scenario, so every rerun must
+/// reproduce the baseline bytes (the `variant_equivalence` oracle);
+/// [`Variant::LegacyFrontEnd`] alone compares a synthetic stream instead
+/// (the `frontend_equivalence` oracle).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Variant {
+    /// The offline tick loop on a worker pool of this width.
+    Threads(usize),
+    /// The `sid-stream` driver: samples synthesized in `chunk_ticks`
+    /// blocks on the pool and consumed from bounded per-node rings.
+    Streamed {
+        /// Worker-pool width.
+        threads: usize,
+        /// Ticks synthesized per pool dispatch.
+        chunk_ticks: usize,
+    },
+    /// The event-driven scheduler (`run_events`) on one thread.
+    Events,
+    /// `run_events` with the deployment partitioned into `shards`
+    /// spatial regions on concurrent scheduler lanes.
+    Sharded {
+        /// Worker-pool width.
+        threads: usize,
+        /// Spatial shard count.
+        shards: usize,
+    },
+    /// A `sid-serve` session (2 threads, 2 shards) advanced in two calls
+    /// split at the half: chunking the clock must be invisible.
+    ServeTwoAdvance,
+    /// A `sid-serve` session checkpointed at the half, migrated onto 4
+    /// threads and 4 shards, and resumed to the end.
+    ServeMigrate,
+    /// The legacy full-complex spectral front end against the default
+    /// fast one, on a seed-derived stream.
+    LegacyFrontEnd,
+}
+
+impl Variant {
+    /// The reruns a generated `seed` carries: disjoint arithmetic seed
+    /// subsets (no RNG draws), in check order — threads (seed ≡ 0 mod
+    /// 16), streamed (≡ 0 mod 4), legacy front end (≡ 0 mod 32), events
+    /// (≡ 2 mod 4), then sharded plus the two `sid-serve` legs (≡ 5 mod
+    /// 8).
+    pub fn for_seed(seed: u64) -> Vec<Variant> {
+        let mut out = Vec::new();
+        if seed.is_multiple_of(16) {
+            out.extend([2, 4, 8].map(Variant::Threads));
+        }
+        if seed.is_multiple_of(4) {
+            // A degenerate 1-tick chunk through chunks spanning many
+            // refills, each at its own pool width.
+            out.extend(
+                [(1, 1), (2, 7), (4, 32), (8, 125)]
+                    .map(|(threads, chunk_ticks)| Variant::Streamed { threads, chunk_ticks }),
+            );
+        }
+        if seed.is_multiple_of(32) {
+            out.push(Variant::LegacyFrontEnd);
+        }
+        if seed % 4 == 2 {
+            out.push(Variant::Events);
+        }
+        if seed % 8 == 5 {
+            out.extend(
+                [(1, 2), (4, 2), (2, 4), (8, 4)]
+                    .map(|(threads, shards)| Variant::Sharded { threads, shards }),
+            );
+            out.extend([Variant::ServeTwoAdvance, Variant::ServeMigrate]);
+        }
+        out
+    }
+}
+
 /// A fully-expanded, serializable simulation scenario.
 ///
 /// Everything the pipeline needs is spelled out here; no further
@@ -113,15 +188,11 @@ pub struct Scenario {
     pub dead_node_fraction: f64,
     /// The expanded fault campaign (explicit so it can be shrunk).
     pub faults: Vec<FaultEvent>,
-    /// Rerun at 2/4/8 worker threads and require byte-identical
-    /// journals. Set on a deterministic subset of seeds — every run
-    /// costs 3 extra simulations.
-    pub check_threads: bool,
-    /// Rerun through the `sid-stream` driver (1/2/4/8 threads, varied
-    /// chunk sizes) and require byte-identical journals to the offline
-    /// tick loop. Set on a deterministic subset of seeds — every run
-    /// costs 4 extra simulations.
-    pub check_stream: bool,
+    /// The equivalence reruns this scenario carries, in check order.
+    /// Filled by [`Variant::for_seed`] from arithmetic seed subsets, so
+    /// it never perturbs the rest of the scenario; the shrinker drops
+    /// entries one at a time.
+    pub variants: Vec<Variant>,
     /// Alert-storm campaign: a convoy of staggered intruders under
     /// Gilbert–Elliott burst loss with a deliberately tight alert
     /// token bucket, plus a scheduled invalid + valid detection hot
@@ -129,24 +200,6 @@ pub struct Scenario {
     /// reload atomicity; checked by the `alert_suppression_correct`
     /// oracle. Set on a deterministic subset of seeds.
     pub alert_storm: bool,
-    /// Rerun a seed-derived synthetic stream through two `StreamEngine`s
-    /// — the default rfft/Goertzel/Parseval fast front-end vs. the
-    /// legacy full-complex spectral path — and require every discrete
-    /// decision to agree (`frontend_equivalence` oracle). Set on a
-    /// deterministic subset of seeds.
-    pub check_frontend: bool,
-    /// Rerun through the event-driven scheduler (`run_events`) and
-    /// require a byte-identical journal, stage counts, trace and final
-    /// clock to the fixed-tick sweep (`scheduler_equivalence` oracle).
-    /// Set on a deterministic subset of seeds — every run costs one
-    /// extra simulation.
-    pub check_sched: bool,
-    /// Rerun with the deployment partitioned into K ∈ {2, 4} spatial
-    /// shards at several pool widths — plus one mid-episode
-    /// checkpoint/migrate/resume through `sid-serve` — and require
-    /// byte-identical journals throughout (`shard_equivalence` oracle).
-    /// Set on a deterministic subset of seeds.
-    pub check_shard: bool,
     /// Fleet-class deployment ([`Scenario::fleet`]): `Some` overrides
     /// the grid fields with a clustered free-form coastline of 200–2000
     /// duty-cycled nodes. [`Scenario::generate`] always leaves this
@@ -173,19 +226,15 @@ impl Scenario {
     /// seed always yields the identical scenario.
     ///
     /// ```
-    /// use sid_dst::Scenario;
+    /// use sid_dst::{Scenario, Variant};
     ///
     /// let a = Scenario::generate(42);
     /// assert_eq!(a, Scenario::generate(42));
     /// assert!(a.rows >= 3 && a.cols >= 3 && a.duration >= 60.0);
     /// // Expensive equivalence reruns ride on arithmetic seed subsets,
     /// // not RNG draws, so they never perturb the rest of the scenario.
-    /// assert_eq!(a.check_threads, 42 % 16 == 0);
-    /// assert_eq!(a.check_stream, 42 % 4 == 0);
+    /// assert_eq!(a.variants, [Variant::Events]); // 42 % 4 == 2
     /// assert_eq!(a.alert_storm, 42 % 8 == 0);
-    /// assert_eq!(a.check_frontend, 42 % 32 == 0);
-    /// assert_eq!(a.check_sched, 42 % 4 == 2);
-    /// assert_eq!(a.check_shard, 42 % 8 == 5);
     /// ```
     pub fn generate(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed);
@@ -267,33 +316,12 @@ impl Scenario {
             burst_severity,
             dead_node_fraction,
             faults,
-            check_threads: seed.is_multiple_of(16),
-            // Every fourth seed: 50 streaming-equivalence scenarios in
-            // the default 200-seed smoke range. Derived from the seed
-            // (no RNG draw) so adding the flag didn't disturb any
-            // previously generated scenario.
-            check_stream: seed.is_multiple_of(4),
+            // Derived from the seed after every RNG draw, like the storm
+            // flag below, so neither perturbs how the rest generates.
+            variants: Variant::for_seed(seed),
             // Every eighth seed: 25 alert-storm campaigns in the smoke
-            // range. Like the equivalence flags, derived arithmetically
-            // *after* every RNG draw so the campaign overrides below
-            // never perturb how other scenarios generate.
+            // range.
             alert_storm: seed.is_multiple_of(8),
-            // Every 32nd seed: the fast-vs-legacy spectral front-end
-            // comparison (two extra streaming engine runs). Arithmetic
-            // like its siblings, so no existing scenario changed.
-            check_frontend: seed.is_multiple_of(32),
-            // Every fourth seed (offset from `check_stream` so the two
-            // populations are disjoint): the event-driven scheduler
-            // equivalence rerun. Arithmetic like its siblings — derived
-            // after every RNG draw, so no existing scenario changed.
-            check_sched: seed % 4 == 2,
-            // Every eighth seed, offset to stay disjoint from the other
-            // equivalence populations (`%8==5` is odd, so it never
-            // overlaps the %4/%8/%16/%32 == 0 subsets or `%4==2`): the
-            // region-sharding equivalence rerun with a mid-episode
-            // migration. Arithmetic like its siblings — derived after
-            // every RNG draw, so no existing scenario changed.
-            check_shard: seed % 8 == 5,
             fleet: None,
         };
         if scenario.alert_storm {
@@ -338,23 +366,23 @@ impl Scenario {
     /// overrides — so the two populations can never interleave their
     /// RNG streams.
     ///
-    /// Every fleet scenario sets `check_sched`, so the
-    /// `scheduler_equivalence` oracle re-runs it through `run_events`
-    /// and requires a byte-identical journal: the fuzzer exercises
-    /// large non-grid deployments end-to-end through the event loop on
-    /// every fleet seed. The expensive small-grid equivalence reruns
-    /// (threads/stream/front-end) and the alert-storm campaign are
+    /// Every fleet scenario carries exactly [`Variant::Events`], so the
+    /// `variant_equivalence` oracle re-runs it through `run_events` and
+    /// requires a byte-identical journal: the fuzzer exercises large
+    /// non-grid deployments end-to-end through the event loop on every
+    /// fleet seed. The other reruns and the alert-storm campaign are
     /// forced off — they scale with node count and have their own
-    /// dedicated populations.
+    /// small-grid populations.
     ///
     /// ```
-    /// use sid_dst::Scenario;
+    /// use sid_dst::{Scenario, Variant};
     ///
     /// let f = Scenario::fleet(7);
     /// let spec = f.fleet.expect("fleet class");
     /// assert!((200..=2000).contains(&spec.nodes));
     /// assert_eq!(f.node_count(), spec.nodes);
-    /// assert!(f.free_form && f.duty_cycle && f.check_sched);
+    /// assert!(f.free_form && f.duty_cycle);
+    /// assert_eq!(f.variants, [Variant::Events]);
     /// assert_eq!(f, Scenario::fleet(7));
     /// ```
     pub fn fleet(seed: u64) -> Self {
@@ -376,14 +404,7 @@ impl Scenario {
         scenario.free_form = true;
         scenario.duty_cycle = true;
         scenario.alert_storm = false;
-        scenario.check_threads = false;
-        scenario.check_stream = false;
-        scenario.check_frontend = false;
-        scenario.check_sched = true;
-        // Sharded reruns scale with node count like the other
-        // equivalence legs; the small-grid `check_shard` population
-        // owns that invariant.
-        scenario.check_shard = false;
+        scenario.variants = vec![Variant::Events];
         scenario.duration = rng.gen_range(45..=90) as f64;
         scenario.sea_components = rng.gen_range(32..=64);
         // Re-expand the fault campaign for the fleet's node count (the
@@ -651,95 +672,113 @@ pub fn execute_with_threads(scenario: &Scenario, sabotage: Sabotage, threads: us
     let obs = Obs::in_memory();
     let mut sys = scenario.build(sabotage, obs.clone(), threads);
     sys.run(scenario.duration);
-    let events = obs.events().expect("in-memory recorder keeps events");
-    let journal = sid_obs::render_journal(&events);
-    RunReport {
-        scenario: scenario.clone(),
-        sabotage,
-        events,
-        counts: obs.counts(),
-        wall: obs.wall(),
-        trace: sys.trace().clone(),
-        journal,
-    }
+    collect(scenario, sabotage, &obs, &sys)
 }
 
-/// Runs a scenario on a single-thread pool (the cheapest deterministic
-/// baseline; `check_threads` scenarios are additionally re-run at 2/4/8
-/// threads by [`crate::oracle::check_all`]).
+/// Runs a scenario on a single-thread pool: the cheapest deterministic
+/// baseline, which every entry of `scenario.variants` must reproduce.
 pub fn execute(scenario: &Scenario, sabotage: Sabotage) -> RunReport {
     execute_with_threads(scenario, sabotage, 1)
 }
 
-/// Runs a scenario through the `sid-stream` driver instead of the
-/// offline tick loop: environment samples are synthesized in
-/// `chunk_ticks` blocks on the pool and consumed from bounded per-node
-/// rings. The report must be byte-identical to [`execute_with_threads`]
-/// at any `(threads, chunk_ticks)` — the `stream_journal_equivalence`
-/// oracle enforces exactly that.
-pub fn execute_streamed(
-    scenario: &Scenario,
-    sabotage: Sabotage,
-    threads: usize,
-    chunk_ticks: usize,
-) -> RunReport {
-    let obs = Obs::in_memory();
-    let sys = scenario.build(sabotage, obs.clone(), threads);
-    let mut stream = sys.stream_with(StreamDriverConfig::with_chunk(chunk_ticks));
-    stream.run(scenario.duration);
-    let events = obs.events().expect("in-memory recorder keeps events");
-    let journal = sid_obs::render_journal(&events);
-    let sys = stream.into_inner();
-    RunReport {
-        scenario: scenario.clone(),
-        sabotage,
-        events,
-        counts: obs.counts(),
-        wall: obs.wall(),
-        trace: sys.trace().clone(),
-        journal,
-    }
+/// What a variant rerun produced, for comparison against the baseline.
+#[derive(Debug, Clone)]
+pub(crate) enum Rerun {
+    /// A full simulation report: journal, stage counts and trace.
+    Report(Box<RunReport>),
+    /// The journal fingerprint only: `sid-serve` session recorders are
+    /// private to their manager.
+    Fingerprint(u64),
 }
 
-/// Runs a scenario through the event-driven scheduler ([`run_events`])
-/// instead of the fixed-tick sweep: idle ticks are skipped outright and
-/// sleeping nodes are charged lazily from a deadline heap. The report
-/// must be byte-identical to [`execute`] — the `scheduler_equivalence`
+/// Re-runs `scenario` under `variant`. Every rerun must reproduce the
+/// baseline [`execute`] report byte-for-byte; the `variant_equivalence`
 /// oracle enforces exactly that.
 ///
-/// [`run_events`]: IntrusionDetectionSystem::run_events
-pub fn execute_events(scenario: &Scenario, sabotage: Sabotage) -> RunReport {
-    let obs = Obs::in_memory();
-    let mut sys = scenario.build(sabotage, obs.clone(), 1);
-    sys.run_events(scenario.duration);
-    let events = obs.events().expect("in-memory recorder keeps events");
-    let journal = sid_obs::render_journal(&events);
-    RunReport {
-        scenario: scenario.clone(),
-        sabotage,
-        events,
-        counts: obs.counts(),
-        wall: obs.wall(),
-        trace: sys.trace().clone(),
-        journal,
-    }
-}
-
-/// Runs a scenario through the event-driven scheduler with the
-/// deployment partitioned into `shards` spatial regions advancing on
-/// concurrent scheduler lanes (cross-shard radio deliveries merge back
-/// in deterministic `(time, seq)` order). The report must be
-/// byte-identical to [`execute`] at any `(threads, shards)` — the
-/// `shard_equivalence` oracle enforces exactly that.
-pub fn execute_sharded(
+/// # Errors
+///
+/// A `sid-serve` call that failed (such as a migration rejected at the
+/// resume integrity gate), or [`Variant::LegacyFrontEnd`], which
+/// compares a synthetic stream rather than re-running the scenario.
+pub(crate) fn execute_variant(
     scenario: &Scenario,
     sabotage: Sabotage,
-    threads: usize,
-    shards: usize,
-) -> RunReport {
+    variant: Variant,
+) -> Result<Rerun, String> {
     let obs = Obs::in_memory();
-    let mut sys = scenario.build(sabotage, obs.clone(), threads).with_shards(shards);
-    sys.run_events(scenario.duration);
+    let sys = match variant {
+        Variant::Threads(threads) => {
+            return Ok(Rerun::Report(Box::new(execute_with_threads(
+                scenario, sabotage, threads,
+            ))))
+        }
+        Variant::Streamed { threads, chunk_ticks } => {
+            let sys = scenario.build(sabotage, obs.clone(), threads);
+            let mut stream = sys.stream_with(StreamDriverConfig::with_chunk(chunk_ticks));
+            stream.run(scenario.duration);
+            stream.into_inner()
+        }
+        Variant::Events => {
+            let mut sys = scenario.build(sabotage, obs.clone(), 1);
+            sys.run_events(scenario.duration);
+            sys
+        }
+        Variant::Sharded { threads, shards } => {
+            let mut sys = scenario.build(sabotage, obs.clone(), threads).with_shards(shards);
+            sys.run_events(scenario.duration);
+            sys
+        }
+        Variant::ServeTwoAdvance | Variant::ServeMigrate => {
+            return serve_fingerprint(scenario, sabotage, variant)
+                .map(Rerun::Fingerprint)
+                .map_err(|err| err.to_string())
+        }
+        Variant::LegacyFrontEnd => return Err("not a scenario rerun".to_string()),
+    };
+    Ok(Rerun::Report(Box::new(collect(scenario, sabotage, &obs, &sys))))
+}
+
+/// Drives `scenario` through `sid-serve` sessions split at the half of
+/// the run: two advance calls on one session (2 threads, 2 shards), or
+/// a checkpoint there on a 1-thread manager, then a resume on a
+/// 4-thread, 4-shard manager that finishes the run.
+fn serve_fingerprint(
+    scenario: &Scenario,
+    sabotage: Sabotage,
+    variant: Variant,
+) -> Result<u64, ServeError> {
+    let half = (scenario.duration / 2.0).floor().max(1.0);
+    let rest = scenario.duration - half;
+    let build = || scenario.build_bare(sabotage);
+    let spec = SessionSpec::new("dst", scenario.seed).with_shards(2);
+    let (mut manager, id) = if variant == Variant::ServeTwoAdvance {
+        let mut manager = SessionManager::with_threads(2);
+        let id = manager.open(spec, build);
+        manager.advance(id, half)?;
+        (manager, id)
+    } else {
+        let mut source = SessionManager::with_threads(1);
+        let id = source.open(spec, build);
+        source.advance(id, half)?;
+        let checkpoint = source.checkpoint(id)?;
+        let mut target = SessionManager::with_threads(4);
+        let id = target.resume_with_shards(&checkpoint, 4, build)?;
+        (target, id)
+    };
+    manager.advance(id, rest)?;
+    manager
+        .session(id)
+        .map(|session| session.fingerprint())
+        .ok_or(ServeError::UnknownSession(id.value()))
+}
+
+/// The report-collection tail every execution shares.
+fn collect(
+    scenario: &Scenario,
+    sabotage: Sabotage,
+    obs: &Obs,
+    sys: &IntrusionDetectionSystem,
+) -> RunReport {
     let events = obs.events().expect("in-memory recorder keeps events");
     let journal = sid_obs::render_journal(&events);
     RunReport {
@@ -785,23 +824,8 @@ mod tests {
         assert!(scenarios.iter().any(|s| s.faults.is_empty()));
         assert!(scenarios.iter().any(|s| s.duty_cycle));
         assert!(scenarios.iter().any(|s| s.burst_severity > 0.0));
-        assert!(scenarios.iter().any(|s| s.check_threads));
-        assert!(scenarios.iter().any(|s| !s.check_threads));
-        assert!(scenarios.iter().any(|s| s.check_stream));
-        assert!(scenarios.iter().any(|s| !s.check_stream));
         assert!(scenarios.iter().any(|s| s.alert_storm));
         assert!(scenarios.iter().any(|s| !s.alert_storm));
-        assert!(scenarios.iter().any(|s| s.check_frontend));
-        assert!(scenarios.iter().any(|s| !s.check_frontend));
-        assert!(scenarios.iter().any(|s| s.check_sched));
-        assert!(scenarios.iter().any(|s| !s.check_sched));
-        assert!(scenarios.iter().any(|s| s.check_shard));
-        assert!(scenarios.iter().any(|s| !s.check_shard));
-        // The shard population never overlaps the other expensive
-        // equivalence reruns (disjoint arithmetic subsets).
-        assert!(scenarios
-            .iter()
-            .all(|s| !(s.check_shard && (s.check_threads || s.check_stream || s.check_sched))));
         for s in &scenarios {
             if s.alert_storm {
                 assert_eq!(s.duration, 300.0);
@@ -826,6 +850,45 @@ mod tests {
                 assert_eq!(s.alert_config(), sid_alert::AlertConfig::default());
                 assert!(s.retunes().is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn variants_pin_the_historical_seed_populations() {
+        use Variant::*;
+        // The populations the per-seed equivalence reruns have always
+        // covered: every seed must rerun exactly these, in this order.
+        for seed in 0..512u64 {
+            let mut want = Vec::new();
+            if seed % 16 == 0 {
+                want.extend([Threads(2), Threads(4), Threads(8)]);
+            }
+            if seed % 4 == 0 {
+                want.extend([
+                    Streamed { threads: 1, chunk_ticks: 1 },
+                    Streamed { threads: 2, chunk_ticks: 7 },
+                    Streamed { threads: 4, chunk_ticks: 32 },
+                    Streamed { threads: 8, chunk_ticks: 125 },
+                ]);
+            }
+            if seed % 32 == 0 {
+                want.push(LegacyFrontEnd);
+            }
+            if seed % 4 == 2 {
+                want.push(Events);
+            }
+            if seed % 8 == 5 {
+                want.extend([
+                    Sharded { threads: 1, shards: 2 },
+                    Sharded { threads: 4, shards: 2 },
+                    Sharded { threads: 2, shards: 4 },
+                    Sharded { threads: 8, shards: 4 },
+                    ServeTwoAdvance,
+                    ServeMigrate,
+                ]);
+            }
+            assert_eq!(Scenario::generate(seed).variants, want, "seed {seed}");
+            assert_eq!(Scenario::fleet(seed).variants, [Events], "fleet seed {seed}");
         }
     }
 

@@ -90,45 +90,13 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         }
     }
 
-    // Thread-equivalence reruns are the single most expensive feature a
-    // scenario can carry (3 extra simulations per execution): try
-    // dropping them first. (A thread_journal_equivalence violation
-    // obviously survives this never.)
-    if s.check_threads {
+    // Equivalence reruns are the most expensive features a scenario can
+    // carry (an extra simulation or serve session each): drop them one
+    // at a time, in check order. (A `variant_equivalence` violation
+    // survives only while its variant stays listed.)
+    for drop in 0..s.variants.len() {
         let mut c = s.clone();
-        c.check_threads = false;
-        push(c);
-    }
-
-    // Same for streaming-equivalence reruns (4 extra simulations per
-    // execution).
-    if s.check_stream {
-        let mut c = s.clone();
-        c.check_stream = false;
-        push(c);
-    }
-
-    // And for the fast-vs-legacy spectral front-end comparison (two
-    // extra streaming engine runs per execution).
-    if s.check_frontend {
-        let mut c = s.clone();
-        c.check_frontend = false;
-        push(c);
-    }
-
-    // And for the event-driven scheduler equivalence rerun (one extra
-    // simulation per execution).
-    if s.check_sched {
-        let mut c = s.clone();
-        c.check_sched = false;
-        push(c);
-    }
-
-    // And for the region-sharding equivalence rerun (four extra
-    // simulations plus three serve sessions per execution).
-    if s.check_shard {
-        let mut c = s.clone();
-        c.check_shard = false;
+        c.variants.remove(drop);
         push(c);
     }
 
@@ -289,11 +257,7 @@ mod tests {
             s.ships.len(),
             s.node_count(),
             s.sea_components,
-            usize::from(s.check_threads)
-                + usize::from(s.check_stream)
-                + usize::from(s.check_frontend)
-                + usize::from(s.check_sched)
-                + usize::from(s.check_shard)
+            s.variants.len()
                 + usize::from(s.alert_storm)
                 + usize::from(s.duty_cycle)
                 + usize::from(s.free_form)
@@ -337,11 +301,7 @@ mod tests {
         s.dead_node_fraction = 0.0;
         s.duty_cycle = false;
         s.free_form = false;
-        s.check_threads = false;
-        s.check_stream = false;
-        s.check_frontend = false;
-        s.check_sched = false;
-        s.check_shard = false;
+        s.variants.clear();
         s.alert_storm = false;
         s.fleet = None;
         assert!(

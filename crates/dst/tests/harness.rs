@@ -4,7 +4,7 @@
 //! to a minimal repro).
 
 use sid_dst::{
-    check_all, execute, execute_with_threads, shrink, FailureRecord, Sabotage, Scenario,
+    check_all, execute, execute_with_threads, shrink, FailureRecord, Sabotage, Scenario, Variant,
 };
 
 #[test]
@@ -35,8 +35,7 @@ fn alert_storm_campaign_suppresses_and_reloads_correctly() {
     assert!(scenario.alert_storm);
     // The equivalence reruns are covered by `fuzz_smoke_zero_violations`
     // and the release smoke; skip them here to keep the debug run cheap.
-    scenario.check_threads = false;
-    scenario.check_stream = false;
+    scenario.variants.clear();
     let report = execute(&scenario, Sabotage::None);
     let violations = check_all(&report);
     assert!(violations.is_empty(), "storm violated: {violations:?}");
@@ -70,10 +69,9 @@ fn fleet_class_runs_clean_and_is_thread_deterministic() {
     // release `just fleet-smoke` slice runs full 200–2000-node sizes —
     // but the class behavior (free-form placement, hash index path at
     // 128 ≥ SPATIAL_HASH_THRESHOLD, forced duty cycling, the
-    // `scheduler_equivalence` rerun every fleet seed carries) is
-    // unchanged.
+    // `run_events` rerun every fleet seed carries) is unchanged.
     let mut scenario = Scenario::fleet(3007);
-    assert!(scenario.check_sched, "every fleet seed reruns run_events");
+    assert_eq!(scenario.variants, [Variant::Events], "every fleet seed reruns run_events");
     scenario.fleet.as_mut().expect("fleet class").nodes = 128;
     let report = execute(&scenario, Sabotage::None);
     let violations = check_all(&report);

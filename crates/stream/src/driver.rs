@@ -14,7 +14,7 @@
 //! writes stay on the sequential per-tick path, which is why streamed
 //! execution is **journal-byte-identical** to [`Pipeline::run`] for
 //! every chunk size, ring capacity and pool width (see DESIGN.md §12;
-//! enforced by the `stream_journal_equivalence` DST oracle).
+//! enforced by the `variant_equivalence` DST oracle).
 
 use std::sync::Arc;
 

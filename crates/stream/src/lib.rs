@@ -25,7 +25,7 @@
 //!   chunks, and is **journal-byte-identical** to the offline
 //!   [`Pipeline::run`](sid_core::Pipeline::run) at every chunk size
 //!   and thread count (the `sid-dst` harness enforces this on every
-//!   `check_stream` seed).
+//!   seed carrying a `Variant::Streamed` rerun).
 //!
 //! Benchmarks: `cargo run --release -p sid-bench --bin stream_bench`
 //! reports sustained samples/sec and peak resident window memory to

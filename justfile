@@ -4,7 +4,7 @@ default:
     @just --list
 
 # Tier-1 gate: everything CI requires before merge.
-tier1: build test lint docs obs-smoke dst-smoke alert-smoke dsp-smoke stream-gate sched-smoke fleet-smoke serve-smoke
+tier1: build test lint docs e2e-test obs-smoke dst-smoke alert-smoke dsp-smoke stream-gate sched-smoke fleet-smoke serve-smoke
 
 # Release build of the whole workspace, including every bench and bin
 # target (keeps the experiment harness compiling, not just the libraries).
@@ -18,6 +18,12 @@ test:
 # Lints are part of the tier-1 bar: warnings are errors.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# e2e_bench is a standalone package outside the workspace, so `test` and
+# `lint` skip it: run its unit tests and clippy here. Part of tier1.
+e2e-test:
+    cargo test --offline -q --manifest-path e2e_bench/Cargo.toml
+    cargo clippy --offline --manifest-path e2e_bench/Cargo.toml --all-targets -- -D warnings
 
 # Executable-docs gate: rustdoc builds warning-free for every workspace
 # crate and every doctest passes. Part of tier1.
@@ -90,11 +96,11 @@ stream-gate:
     cargo run --release -p sid-bench --bin stream_bench -- --quick --check --threads 1
 
 # Event-driven scheduler smoke (see DESIGN.md §15): a DST slice off the
-# dst-smoke range that includes scheduler_equivalence seeds (seed % 4 ==
-# 2 re-runs every scenario through run_events and requires
-# byte-identical journals), then the sched_bench gate — equivalence on
-# the idle-heavy field plus at least a 5x wall-clock win over the
-# fixed-tick sweep. Part of tier1.
+# dst-smoke range that includes the Variant::Events seeds (seed % 4 == 2
+# re-runs every scenario through run_events, and variant_equivalence
+# requires byte-identical journals), then the sched_bench gate —
+# equivalence on the idle-heavy field plus at least a 5x wall-clock win
+# over the fixed-tick sweep. Part of tier1.
 sched-smoke:
     cargo run --release -p sid-bench --bin dst -- --seeds 40 --seed-start 2000 --no-write
     cargo run --release -p sid-bench --bin sched_bench -- --quick --check --threads 1
@@ -111,7 +117,8 @@ bench-sched:
 # real time against the committed results/BENCH_fleet.json baseline
 # (read before measuring; nothing written) — then a 20-seed fleet-class
 # DST slice (free-form coastlines of 200–2000 duty-cycled nodes, every
-# seed re-run through run_events by the scheduler_equivalence oracle).
+# seed carrying Variant::Events: re-run through run_events and checked
+# by the variant_equivalence oracle).
 # Part of tier1.
 fleet-smoke:
     cargo run --release -p sid-bench --bin fleet_bench -- --check --threads 1
@@ -128,9 +135,10 @@ bench-fleet:
 # migrate (different pool width and shard count) → resume landing on the
 # same bytes, and aggregate faster-than-real-time throughput against the
 # committed results/BENCH_serve.json baseline (read before measuring;
-# nothing written) — then a 24-seed DST slice covering the
-# shard_equivalence population (seed % 8 == 5 re-runs every scenario at
-# K ∈ {2, 4} shards across pool widths plus a sid-serve migration).
+# nothing written) — then a 24-seed DST slice covering the sharded
+# population (seed % 8 == 5 carries the Variant::Sharded reruns at
+# K ∈ {2, 4} shards across pool widths plus the two sid-serve legs, all
+# checked by variant_equivalence).
 # Part of tier1.
 serve-smoke:
     cargo run --release -p sid-bench --bin serve_bench -- --check --threads 1
