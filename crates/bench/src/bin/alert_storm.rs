@@ -128,11 +128,10 @@ fn main() {
         let mut scenario = Scenario::generate(seed);
         assert!(scenario.alert_storm, "seed {seed} is not a storm seed");
         // The sweep below *is* this binary's thread-equivalence check;
-        // the oracle-level tick-loop and streamed reruns would only
-        // duplicate it.
+        // the oracle-level thread reruns would only duplicate it.
         scenario
             .variants
-            .retain(|v| !matches!(v, Variant::Threads(_) | Variant::Streamed { .. }));
+            .retain(|v| !matches!(v, Variant::Threads(_)));
 
         let baseline = run_storm(&scenario, threads_swept[0]);
         simulations += 1;

@@ -34,16 +34,11 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use sid_bench::common::write_json;
-use sid_bench::gate::{self, GateError};
+use sid_bench::gate::{self, GateError, CHECK_FLOOR};
 use sid_core::{DutyCycleConfig, IntrusionDetectionSystem, SystemConfig};
 use sid_net::{NeighborIndex, Position, Topology};
 use sid_obs::fnv1a;
 use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
-
-/// The `--check` gate accepts a 1-thread real-time ratio no lower than
-/// this fraction of the committed baseline (and never below 1.0 —
-/// faster than real time is the point).
-const CHECK_FLOOR: f64 = 0.25;
 
 /// Placement clusters along the coastline strip.
 const CLUSTERS: usize = 8;

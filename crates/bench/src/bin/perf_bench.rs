@@ -5,16 +5,17 @@
 //! cargo run --release -p sid-bench --bin perf_bench [-- --quick] [-- --threads N]
 //! ```
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * **wave synthesis** — per-sample `SeaState::acceleration` vs. the
 //!   phase-recurrence `acceleration_block`, in samples/sec (the block path
 //!   does one complex rotation per spectral component per step instead of
 //!   two `sin_cos` calls);
-//! * **pipeline** — end-to-end `IntrusionDetectionSystem::run` throughput
-//!   in node-samples/sec on the configured worker pool;
 //! * **figure jobs** — wall time of representative figure/table jobs at
 //!   the configured thread count.
+//!
+//! End-to-end pipeline throughput is measured by `e2e_bench`
+//! (`grid_dense` and the other workloads in `BENCHMARK.json`).
 //!
 //! All numbers are measured on this machine at the reported thread count —
 //! nothing is extrapolated.
@@ -40,15 +41,6 @@ struct WaveSynthesis {
 }
 
 #[derive(Debug, Serialize)]
-struct PipelineThroughput {
-    grid: String,
-    sim_seconds: f64,
-    wall_secs: f64,
-    node_samples: u64,
-    node_samples_per_sec: f64,
-}
-
-#[derive(Debug, Serialize)]
 struct FigureJob {
     name: &'static str,
     wall_secs: f64,
@@ -59,7 +51,6 @@ struct PerfReport {
     threads: usize,
     quick: bool,
     wave_synthesis: WaveSynthesis,
-    pipeline: PipelineThroughput,
     figure_jobs: Vec<FigureJob>,
 }
 
@@ -92,28 +83,6 @@ fn bench_wave_synthesis(quick: bool) -> WaveSynthesis {
         block_samples_per_sec: n as f64 / block_secs.max(1e-12),
         block_speedup: pointwise_secs / block_secs.max(1e-12),
         max_abs_difference,
-    }
-}
-
-fn bench_pipeline(quick: bool, obs: &sid_obs::Obs) -> PipelineThroughput {
-    let sim_seconds = if quick { 30.0 } else { 120.0 };
-    let scene = northbound_scene(7, 37.0, 10.0, -300.0);
-    let config = SystemConfig::paper_default(5, 5);
-    // The timed run honours SID_OBS: unset (the default) it runs on the
-    // no-op recorder, whose enabled-check is the only overhead — the
-    // published BENCH_perf numbers are measured uninstrumented.
-    let mut sys =
-        IntrusionDetectionSystem::new(scene, config, 7 ^ 0x5EA).with_obs(obs.clone());
-    let t = Instant::now();
-    sys.run(sim_seconds);
-    let wall_secs = t.elapsed().as_secs_f64();
-    let node_samples = (25.0 * sim_seconds * 50.0) as u64;
-    PipelineThroughput {
-        grid: "5x5".to_string(),
-        sim_seconds,
-        wall_secs,
-        node_samples,
-        node_samples_per_sec: node_samples as f64 / wall_secs.max(1e-12),
     }
 }
 
@@ -160,11 +129,6 @@ fn main() {
 
     let env_obs = sid_obs::Obs::from_env();
     sid_exec::global().set_obs(env_obs.clone());
-    let pipeline = bench_pipeline(quick, &env_obs);
-    println!(
-        "pipeline: {} s of 5x5 sim in {:.2} s wall — {:.0} node-samples/s",
-        pipeline.sim_seconds, pipeline.wall_secs, pipeline.node_samples_per_sec
-    );
 
     let figure_jobs = bench_figure_jobs(quick);
     for job in &figure_jobs {
@@ -175,7 +139,6 @@ fn main() {
         threads,
         quick,
         wave_synthesis,
-        pipeline,
         figure_jobs,
     };
     write_json("BENCH_perf", &report);

@@ -34,14 +34,9 @@ use std::time::Instant;
 use serde::Serialize;
 
 use sid_bench::common::write_json;
-use sid_bench::gate::{self, GateError};
+use sid_bench::gate::{self, GateError, CHECK_FLOOR};
 use sid_dst::{Sabotage, Scenario};
 use sid_serve::{SessionId, SessionManager, SessionReport, SessionSpec};
-
-/// The `--check` gate accepts a 1-thread aggregate real-time ratio no
-/// lower than this fraction of the committed baseline (and never below
-/// 1.0 — a service that can't keep up with its tenants is broken).
-const CHECK_FLOOR: f64 = 0.25;
 
 /// First tenant seed: disjoint from the committed `dst-smoke` (1000+),
 /// sched (2000+), fleet (3000+) and serve-smoke DST (4000+) ranges.

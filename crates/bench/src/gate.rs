@@ -1,9 +1,17 @@
 //! Shared plumbing for the benchmark binaries' `--check` regression
-//! gates: one reader for a committed baseline number and one exit
-//! helper, so every gate reports and exits the same way — 0 on a pass,
-//! 1 on a failed check, 2 when the committed baseline is unreadable.
+//! gates: one reader for a committed baseline number, one floor and one
+//! exit helper, so every gate reports and exits the same way — 0 on a
+//! pass, 1 on a failed check, 2 when the committed baseline is
+//! unreadable.
 
 use std::path::Path;
+
+/// Fraction of a committed throughput baseline a `--check` gate still
+/// accepts. Loose on purpose: shared hosts drift 10–30 % for minutes at
+/// a time, so the gates catch a collapse (a lost fast path, an
+/// accidental quadratic), not a few percent. Gates bounding a speedup
+/// ratio rather than a baseline fraction keep their own floor.
+pub const CHECK_FLOOR: f64 = 0.25;
 
 /// Why a `--check` gate did not pass.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -111,33 +111,14 @@ pub use pipeline::{
 /// emphasizing its role as the drivable sensor → preprocess → node-detect →
 /// cluster → sink chain rather than the simulation it hosts.
 ///
-/// A pipeline can be driven two ways, and both produce byte-identical
-/// journals and traces:
+/// A pipeline has two drivers, and both produce byte-identical journals
+/// and traces:
 ///
-/// * offline: [`Pipeline::run`] advances whole seconds at a time;
-/// * streaming: a driver alternates [`Pipeline::begin_tick`] →
-///   [`Pipeline::sense_at`] → [`Pipeline::finish_tick`] one tick at a
-///   time (this is what `sid-stream` builds on).
-///
-/// ```
-/// use rand::SeedableRng;
-/// use sid_core::{Pipeline, SystemConfig};
-/// use sid_ocean::{Scene, SeaState, ShipWaveModel, WaveSpectrum};
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let sea = SeaState::synthesize(WaveSpectrum::calm_sea(), 64, &mut rng);
-/// let scene = Scene::new(sea, ShipWaveModel::default());
-/// let mut pipeline = Pipeline::new(scene, SystemConfig::paper_default(4, 4), 11);
-///
-/// // Drive one 20 ms tick through the streaming seam by hand.
-/// let mut sampling = Vec::new();
-/// let now = pipeline.begin_tick(&mut sampling);
-/// let envs: Vec<_> = sampling.iter().map(|&i| pipeline.sense_at(i, now)).collect();
-/// pipeline.finish_tick(&sampling, &envs);
-///
-/// assert_eq!(sampling.len(), 16); // every node of the 4x4 grid sampled
-/// assert!((pipeline.now() - pipeline.tick_dt()).abs() < 1e-12);
-/// ```
+/// * [`Pipeline::run`], the tick sweep: every live node senses on every
+///   tick. It is the reference the event-driven driver is checked
+///   against.
+/// * [`Pipeline::run_events`], the event-driven scheduler: idle ticks
+///   cost one heap pop and sleepers are charged lazily (DESIGN.md §15).
 pub type Pipeline = IntrusionDetectionSystem;
 pub use preprocess::{preprocess_offline, Preprocessor};
 pub use report::{ClusterDetection, NodeReport, SidMessage};

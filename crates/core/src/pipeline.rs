@@ -170,7 +170,7 @@ impl SystemConfig {
 /// oracle) computes the identical step count.
 pub fn ticks_in(duration: f64, dt: f64) -> u64 {
     let ratio = duration / dt;
-    if !(ratio > 0.0) {
+    if !(ratio > 0.0 && ratio.is_finite()) {
         return 0;
     }
     (ratio + ratio * 1e-9 + 0.5).floor() as u64
@@ -571,14 +571,6 @@ impl IntrusionDetectionSystem {
     /// Number of deployed nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The worker pool this system fans Phase A out on (see
-    /// [`with_pool`](Self::with_pool)). Streaming drivers reuse it for
-    /// chunked scene synthesis so one `--threads` setting governs both
-    /// execution styles.
-    pub fn pool(&self) -> &Arc<sid_exec::Pool> {
-        &self.pool
     }
 
     /// Whether node `idx` is sampling right now (always true without duty
@@ -1183,7 +1175,7 @@ impl IntrusionDetectionSystem {
     }
 
     /// Replaces the alerting edge wholesale (snapshot restore — the edge
-    /// serializes; see `sid-stream`'s reload tests).
+    /// serializes).
     pub fn set_alert_edge(&mut self, edge: AlertEdge) {
         self.alert = edge;
     }
@@ -1194,11 +1186,11 @@ impl IntrusionDetectionSystem {
     }
 
     /// The number of whole simulation ticks a `duration`-second advance
-    /// covers. Every driver — [`run`](Self::run),
-    /// [`run_events`](Self::run_events), the `sid-stream` driver, DST
-    /// replays — takes its step count from this one function, so all of
-    /// them agree on tick counts (and therefore on the exact `now += dt`
-    /// clock) even for durations that are not exact multiples of
+    /// covers. Both drivers — [`run`](Self::run) and
+    /// [`run_events`](Self::run_events) — and the DST replays take their
+    /// step count from this one function, so all of them agree on tick
+    /// counts (and therefore on the exact `now += dt` clock) even for
+    /// durations that are not exact multiples of
     /// [`tick_dt`](Self::tick_dt).
     ///
     /// Boundary rule: the tick count is `duration / tick_dt` rounded
@@ -1206,8 +1198,8 @@ impl IntrusionDetectionSystem {
     /// float error in the division. A duration within one part in 10⁹ of
     /// `k × dt` yields exactly `k` ticks (`0.06 s` at 50 Hz is 3 ticks,
     /// not the 2 a truncating division would produce), and an exact
-    /// half-tick remainder rounds up. Negative, zero, and NaN durations
-    /// yield zero ticks.
+    /// half-tick remainder rounds up. Negative, zero, infinite and NaN
+    /// durations yield zero ticks.
     pub fn tick_count(&self, duration: f64) -> u64 {
         ticks_in(duration, self.tick_dt())
     }
@@ -1216,15 +1208,7 @@ impl IntrusionDetectionSystem {
     /// [`tick_dt`](Self::tick_dt), applies due faults, performs the
     /// RNG-free sleep/wake bookkeeping, and fills `sampling` with the
     /// indices of the nodes that sample this tick (in node order).
-    /// Returns the new simulation time.
-    ///
-    /// This is the first half of the streaming seam. A driver alternates
-    /// `begin_tick` → evaluate the scene for every index in `sampling`
-    /// (inline, pooled, or from pre-buffered chunks via
-    /// [`sense_at`](Self::sense_at)) → [`finish_tick`](Self::finish_tick).
-    /// [`run`](Self::run) is exactly that loop, so any driver preserving
-    /// the per-tick call order produces a byte-identical journal and trace.
-    pub fn begin_tick(&mut self, sampling: &mut Vec<usize>) -> f64 {
+    fn begin_tick(&mut self, sampling: &mut Vec<usize>) {
         let dt = self.tick_dt();
         self.now += dt;
         self.apply_due_retunes();
@@ -1268,7 +1252,6 @@ impl IntrusionDetectionSystem {
             }
             sampling.push(idx);
         }
-        self.now
     }
 
     /// Phase A part 2 for a whole sampling set: evaluates the scene for
@@ -1313,17 +1296,6 @@ impl IntrusionDetectionSystem {
         }
     }
 
-    /// Evaluates the scene for node `idx` at simulation time `t`
-    /// (Phase A, part 2, for one node).
-    ///
-    /// Pure — `&self`, no RNG — and independent of all mutable per-tick
-    /// state: a node senses through its buoy model, which never changes
-    /// mid-run. Streaming drivers exploit this to synthesize environment
-    /// samples for *future* ticks ahead of time on the worker pool.
-    pub fn sense_at(&self, idx: usize, t: f64) -> EnvSample {
-        self.nodes[idx].sense_environment(&self.scene, t)
-    }
-
     /// Closes the current tick: pushes one pre-sensed environment sample
     /// per sampling node through the accelerometer and detector (Phase B,
     /// strictly sequential in node order — the shared RNG sees the same
@@ -1331,9 +1303,8 @@ impl IntrusionDetectionSystem {
     /// drains network deliveries and expired cluster windows.
     ///
     /// `envs[i]` must be the scene evaluation for node `sampling[i]` at
-    /// the current tick time — what [`sense_at`](Self::sense_at) returns
-    /// for `(sampling[i], now)`.
-    pub fn finish_tick(&mut self, sampling: &[usize], envs: &[EnvSample]) {
+    /// the current tick time.
+    fn finish_tick(&mut self, sampling: &[usize], envs: &[EnvSample]) {
         debug_assert_eq!(sampling.len(), envs.len());
         let detect_span = if self.obs_enabled {
             self.obs.span(Stage::PhaseBDetect)
@@ -1401,10 +1372,9 @@ impl IntrusionDetectionSystem {
     ///   accelerometer and detector in node order, consuming the shared RNG
     ///   exactly as the original single-loop implementation did.
     ///
-    /// The loop body is the [`begin_tick`](Self::begin_tick) /
-    /// [`finish_tick`](Self::finish_tick) seam; the streaming driver in
-    /// `sid-stream` replays the same seam from bounded ring buffers and is
-    /// journal-byte-identical to this offline loop.
+    /// This tick sweep is the reference driver:
+    /// [`run_events`](Self::run_events) must reproduce its journal and
+    /// trace byte-for-byte.
     pub fn run(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let mut sampling: Vec<usize> = Vec::with_capacity(self.nodes.len());
@@ -2376,6 +2346,11 @@ mod tests {
         assert_eq!(counts.config_reloads, 1);
         assert_eq!(counts.config_reload_rejections, 1);
         assert_eq!(counts.warnings, 1, "rejection journals a warning");
+        let journal = sid_obs::render_journal(&obs.events().expect("in-memory recorder"));
+        assert!(
+            journal.contains("af_threshold must lie in (0, 1]"),
+            "rejection carries the validation reason"
+        );
         // Every non-duplicate sink acceptance flowed through the edge.
         assert_eq!(
             counts.sink_accepted,
@@ -2396,6 +2371,27 @@ mod tests {
             coalesced + sys.alert_edge().pending_suppressed(),
             counts.alerts_suppressed
         );
+    }
+
+    #[test]
+    fn alert_edge_snapshot_restores_and_continues_identically() {
+        // Snapshot the alerting edge mid-run, serde round-trip it,
+        // restore it into a twin paused at the same point, and require
+        // both to finish with identical edges and traces.
+        let mk = || IntrusionDetectionSystem::new(build_scene(2, true), quiet_config(), 43);
+        let (mut a, mut b) = (mk(), mk());
+        a.run(150.0);
+        b.run(150.0);
+        let snapshot = a.alert_edge().clone();
+        let json = serde_json::to_string(&snapshot).expect("alert edge serializes");
+        let restored: AlertEdge = serde_json::from_str(&json).expect("round-trips");
+        assert_eq!(restored, snapshot, "serde round-trip is lossless");
+        b.set_alert_edge(restored);
+        a.run(150.0);
+        b.run(150.0);
+        assert!(a.alert_edge().emitted() > 0, "the passage raised no alert");
+        assert_eq!(a.alert_edge(), b.alert_edge(), "restored edge diverged");
+        assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
@@ -2662,6 +2658,8 @@ mod tests {
         assert_eq!(sys.tick_count(0.0), 0);
         assert_eq!(sys.tick_count(-5.0), 0);
         assert_eq!(sys.tick_count(f64::NAN), 0);
+        assert_eq!(sys.tick_count(f64::INFINITY), 0);
+        assert_eq!(sys.tick_count(f64::NEG_INFINITY), 0);
         assert_eq!(ticks_in(1.0, dt), 50);
         // Chunked advances cover the same ticks as one call: an awkward
         // duration split across calls must not drop or duplicate a tick,
@@ -2681,5 +2679,39 @@ mod tests {
             chunked.now()
         );
         assert_eq!(whole.trace(), chunked.trace());
+        // Whole-second chunks journal exactly like one call, with fault
+        // events straddling the chunk boundaries.
+        let plan = FaultPlan::from_events(vec![
+            FaultEvent {
+                time: 4.0,
+                node: 7,
+                kind: FaultKind::Outage { duration: 7.0 },
+            },
+            FaultEvent {
+                time: 17.5,
+                node: 3,
+                kind: FaultKind::Death,
+            },
+        ]);
+        let journal_of = |chunks: &[f64]| {
+            let obs = sid_obs::Obs::in_memory();
+            let mut sys = IntrusionDetectionSystem::with_fault_plan(
+                build_scene(1, false),
+                quiet_config(),
+                42,
+                plan.clone(),
+            )
+            .with_obs(obs.clone());
+            for &chunk in chunks {
+                sys.run(chunk);
+            }
+            sid_obs::render_journal(&obs.events().expect("in-memory recorder"))
+        };
+        let one = journal_of(&[20.0]);
+        assert!(
+            one.contains("NodeUp"),
+            "faults missing from the journal: {one}"
+        );
+        assert_eq!(journal_of(&[5.0; 4]), one);
     }
 }

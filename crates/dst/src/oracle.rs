@@ -23,7 +23,7 @@
 //! | `incident_ids_well_formed` | incident ids are allocated contiguously; duplicates reference known incidents |
 //! | `outage_lifecycle` | `NodeUp` only follows an unrecovered outage; no event resurrects a dead node |
 //! | `alert_suppression_correct` | an independent alert-edge replay reproduces every emit/suppress/coalesce/reload decision; no suppressed alert is lost without a matching summary record; token-bucket accounting is exact |
-//! | `variant_equivalence` | every rerun in `scenario.variants` — wider worker pools, the `sid-stream` driver, the event-driven scheduler, spatial shards, and `sid-serve` two-advance and checkpoint/migrate/resume sessions — reproduces the baseline journal, stage counts and trace byte-for-byte (the serve legs: the journal fingerprint) |
+//! | `variant_equivalence` | every rerun in `scenario.variants` — wider worker pools, the event-driven scheduler, spatial shards, and `sid-serve` two-advance and checkpoint/migrate/resume sessions — reproduces the baseline journal, stage counts and trace byte-for-byte (the serve legs: the journal fingerprint) |
 //! | `frontend_equivalence` | on `Variant::LegacyFrontEnd` scenarios, the default rfft/Goertzel/Parseval fast spectral front-end and the legacy full-complex path agree on a seed-derived stream: alarms bit-identical, window verdicts equal, wavelet observable within 0.05 |
 
 use sid_alert::{AlertEdge, AlertInput};
@@ -599,11 +599,11 @@ fn alert_suppression_correct(report: &RunReport, out: &mut Vec<Violation>) {
 }
 
 /// The differential contract: the journal is a pure function of the
-/// scenario, so thread count, the streaming driver, the event-driven
-/// scheduler, spatial sharding and `sid-serve` session chunking or
-/// migration are execution strategies, never semantic changes. The
-/// `variant` rerun must reproduce the baseline journal, stage counts and
-/// trace byte-for-byte; the serve legs expose only a journal
+/// scenario, so thread count, the event-driven scheduler, spatial
+/// sharding and `sid-serve` session chunking or migration are execution
+/// strategies, never semantic changes. The `variant` rerun must
+/// reproduce the baseline journal, stage counts and trace
+/// byte-for-byte; the serve legs expose only a journal
 /// fingerprint, and a failed serve call is itself a violation.
 fn variant_equivalence(report: &RunReport, variant: Variant, out: &mut Vec<Violation>) {
     let diverged = match execute_variant(&report.scenario, report.sabotage, variant) {
@@ -849,8 +849,8 @@ mod tests {
         scenario.duration = 20.0;
         scenario.variants.clear();
         let mut report = execute(&scenario, Sabotage::None);
-        // Every rerun kind: threads and streamed (seed 16), events (2),
-        // sharded and both serve legs (5).
+        // Every rerun kind: threads (seed 16), events (2), sharded and
+        // both serve legs (5).
         report.scenario.variants = [16, 2, 5].into_iter().flat_map(Variant::for_seed).collect();
         report.journal.push('\n');
         let violations: Vec<Violation> = check_all(&report)

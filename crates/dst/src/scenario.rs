@@ -22,7 +22,6 @@ use sid_net::{FaultEvent, FaultPlan, FaultPlanConfig, GilbertElliott, Position, 
 use sid_obs::{Event, Obs, StageCounts, WallStats};
 use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
 use sid_serve::{ServeError, SessionManager, SessionSpec};
-use sid_stream::{StreamDriverConfig, StreamExt};
 
 /// Which wave spectrum the scenario's sea is synthesized from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,14 +87,6 @@ pub struct FleetSpec {
 pub enum Variant {
     /// The offline tick loop on a worker pool of this width.
     Threads(usize),
-    /// The `sid-stream` driver: samples synthesized in `chunk_ticks`
-    /// blocks on the pool and consumed from bounded per-node rings.
-    Streamed {
-        /// Worker-pool width.
-        threads: usize,
-        /// Ticks synthesized per pool dispatch.
-        chunk_ticks: usize,
-    },
     /// The event-driven scheduler (`run_events`) on one thread.
     Events,
     /// `run_events` with the deployment partitioned into `shards`
@@ -120,21 +111,12 @@ pub enum Variant {
 impl Variant {
     /// The reruns a generated `seed` carries: disjoint arithmetic seed
     /// subsets (no RNG draws), in check order — threads (seed ≡ 0 mod
-    /// 16), streamed (≡ 0 mod 4), legacy front end (≡ 0 mod 32), events
-    /// (≡ 2 mod 4), then sharded plus the two `sid-serve` legs (≡ 5 mod
-    /// 8).
+    /// 16), legacy front end (≡ 0 mod 32), events (≡ 2 mod 4), then
+    /// sharded plus the two `sid-serve` legs (≡ 5 mod 8).
     pub fn for_seed(seed: u64) -> Vec<Variant> {
         let mut out = Vec::new();
         if seed.is_multiple_of(16) {
             out.extend([2, 4, 8].map(Variant::Threads));
-        }
-        if seed.is_multiple_of(4) {
-            // A degenerate 1-tick chunk through chunks spanning many
-            // refills, each at its own pool width.
-            out.extend(
-                [(1, 1), (2, 7), (4, 32), (8, 125)]
-                    .map(|(threads, chunk_ticks)| Variant::Streamed { threads, chunk_ticks }),
-            );
         }
         if seed.is_multiple_of(32) {
             out.push(Variant::LegacyFrontEnd);
@@ -712,12 +694,6 @@ pub(crate) fn execute_variant(
                 scenario, sabotage, threads,
             ))))
         }
-        Variant::Streamed { threads, chunk_ticks } => {
-            let sys = scenario.build(sabotage, obs.clone(), threads);
-            let mut stream = sys.stream_with(StreamDriverConfig::with_chunk(chunk_ticks));
-            stream.run(scenario.duration);
-            stream.into_inner()
-        }
         Variant::Events => {
             let mut sys = scenario.build(sabotage, obs.clone(), 1);
             sys.run_events(scenario.duration);
@@ -862,14 +838,6 @@ mod tests {
             let mut want = Vec::new();
             if seed % 16 == 0 {
                 want.extend([Threads(2), Threads(4), Threads(8)]);
-            }
-            if seed % 4 == 0 {
-                want.extend([
-                    Streamed { threads: 1, chunk_ticks: 1 },
-                    Streamed { threads: 2, chunk_ticks: 7 },
-                    Streamed { threads: 4, chunk_ticks: 32 },
-                    Streamed { threads: 8, chunk_ticks: 125 },
-                ]);
             }
             if seed % 32 == 0 {
                 want.push(LegacyFrontEnd);

@@ -149,6 +149,9 @@ pub enum SessionState {
 pub enum ServeError {
     /// No open session has this id (never issued, or already closed).
     UnknownSession(u64),
+    /// An advance asked for a negative, infinite or NaN number of
+    /// seconds; the session was left untouched.
+    InvalidDuration(f64),
     /// A resume replay produced a different journal than the checkpoint
     /// recorded — the builder, binary, or host diverged from the
     /// original run, and the session must not continue.
@@ -166,6 +169,10 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::UnknownSession(id) => write!(f, "unknown session id {id}"),
+            ServeError::InvalidDuration(seconds) => write!(
+                f,
+                "advance duration must be finite and non-negative, got {seconds}"
+            ),
             ServeError::FingerprintMismatch {
                 tenant,
                 expected,
@@ -402,12 +409,18 @@ impl SessionManager {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownSession`] when `id` is not open.
+    /// [`ServeError::UnknownSession`] when `id` is not open, and
+    /// [`ServeError::InvalidDuration`] for negative, infinite or NaN
+    /// `seconds`. Either way the session and its replay schedule are
+    /// untouched.
     pub fn advance(&mut self, id: SessionId, seconds: f64) -> Result<u64, ServeError> {
         let session = self
             .sessions
             .get_mut(&id.0)
             .ok_or(ServeError::UnknownSession(id.0))?;
+        if !valid_duration(seconds) {
+            return Err(ServeError::InvalidDuration(seconds));
+        }
         let ticks = session.pipeline.tick_count(seconds);
         session.pipeline.run_events(seconds);
         session.advances.push(seconds);
@@ -417,8 +430,13 @@ impl SessionManager {
     }
 
     /// Advances every open session by `seconds`, in ascending session-id
-    /// order (deterministic round-robin). Returns total ticks covered.
+    /// order (deterministic round-robin). Returns total ticks covered: 0
+    /// for a duration [`advance`](Self::advance) would reject, which
+    /// advances nothing.
     pub fn advance_all(&mut self, seconds: f64) -> u64 {
+        if !valid_duration(seconds) {
+            return 0;
+        }
         let ids = self.ids();
         let mut total = 0;
         for id in ids {
@@ -528,6 +546,12 @@ impl SessionManager {
             .ok_or(ServeError::UnknownSession(id.0))?;
         Ok(session.report())
     }
+}
+
+/// Whether `seconds` is an advance duration a session may record and
+/// replay: finite and non-negative.
+fn valid_duration(seconds: f64) -> bool {
+    seconds.is_finite() && seconds >= 0.0
 }
 
 impl fmt::Debug for SessionManager {
@@ -665,5 +689,24 @@ mod tests {
         assert!(mgr.checkpoint(id).is_err());
         assert!(mgr.close(id).is_err());
         assert_eq!(mgr.len(), 0);
+    }
+
+    #[test]
+    fn invalid_durations_are_rejected_without_touching_the_session() {
+        let mut mgr = SessionManager::with_threads(1);
+        let id = mgr.open(SessionSpec::new("t", 3), build(3));
+        mgr.advance(id, 2.0).unwrap();
+        let before = mgr.checkpoint(id).unwrap();
+        for seconds in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            assert!(matches!(
+                mgr.advance(id, seconds),
+                Err(ServeError::InvalidDuration(s)) if s.to_bits() == seconds.to_bits()
+            ));
+            assert_eq!(mgr.advance_all(seconds), 0);
+        }
+        // The checkpoint replay schedule never saw the rejected calls.
+        assert_eq!(mgr.checkpoint(id).unwrap(), before);
+        assert_eq!(mgr.session(id).unwrap().ticks(), 100);
+        assert_eq!(mgr.session(id).unwrap().state(), SessionState::Running);
     }
 }

@@ -1,6 +1,6 @@
 //! A bounded ring buffer with explicit backpressure.
 //!
-//! The streaming engine and driver keep every queue *bounded*: a full
+//! The streaming engine keeps every queue *bounded*: a full
 //! ring rejects the push and hands the item back instead of growing,
 //! so resident memory is capped by construction and producers see the
 //! backpressure directly ([`RingBuffer::push`] returns `Err`).

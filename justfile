@@ -71,8 +71,9 @@ repro:
 bench-perf:
     cargo run --release -p sid-bench --bin perf_bench
 
-# Streaming-engine benchmark: writes results/BENCH_stream.json and
-# asserts streamed/offline journal equality (see DESIGN.md §12).
+# Streaming-engine benchmark: sustained StreamEngine samples/sec and
+# peak resident window memory to results/BENCH_stream.json (see
+# DESIGN.md §12).
 bench-stream:
     cargo run --release -p sid-bench --bin stream_bench
 
@@ -88,12 +89,13 @@ bench-dsp:
 dsp-smoke:
     cargo run --release -p sid-bench --bin dsp_bench -- --quick
 
-# Streaming-throughput regression gate: re-measure the engine section
-# and fail if sustained samples/sec fell more than 20% below the
-# committed results/BENCH_stream.json baseline. Reads the baseline
-# before measuring and writes nothing. Part of tier1.
+# Streaming-throughput regression gate: re-measure the full-length
+# engine section the baseline records and fail if sustained samples/sec
+# fell below 0.25x the committed results/BENCH_stream.json baseline
+# (sid_bench::gate::CHECK_FLOOR). Reads the baseline before measuring
+# and writes nothing. Part of tier1.
 stream-gate:
-    cargo run --release -p sid-bench --bin stream_bench -- --quick --check --threads 1
+    cargo run --release -p sid-bench --bin stream_bench -- --check --threads 1
 
 # Event-driven scheduler smoke (see DESIGN.md §15): a DST slice off the
 # dst-smoke range that includes the Variant::Events seeds (seed % 4 == 2

@@ -26,6 +26,9 @@ use rand::SeedableRng;
 use sid::core::{DutyCycleConfig, IntrusionDetectionSystem, SystemConfig};
 use sid::ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
 
+const USAGE: &str = "usage: sid-sim [--rows N] [--cols N] [--duration SECS] [--seed N] \
+                     [--ship KNOTS:OFFSET_M:HEADING_DEG]... [--duty-cycle] [--json]";
+
 #[derive(Debug)]
 struct Args {
     rows: usize,
@@ -77,19 +80,17 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.ships.push((knots, offset, heading));
             }
-            "--help" | "-h" => {
-                return Err("usage: sid-sim [--rows N] [--cols N] [--duration SECS] [--seed N] \
-                            [--ship KNOTS:OFFSET_M:HEADING_DEG]... [--duty-cycle] [--json]"
-                    .into())
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
     }
     if args.rows == 0 || args.cols == 0 {
         return Err("grid must be non-empty".into());
     }
-    if args.duration <= 0.0 {
-        return Err("--duration must be positive".into());
+    if !(args.duration.is_finite() && args.duration > 0.0) {
+        return Err(format!(
+            "--duration must be a positive, finite number of seconds\n{USAGE}"
+        ));
     }
     Ok(args)
 }

@@ -18,7 +18,7 @@
 //! | [`core`] | `sid-core` | The SID detection system itself |
 //! | [`acoustic`] | `sid-acoustic` | Underwater acoustics + fusion (the paper's future work) |
 //! | [`exec`] | `sid-exec` | Deterministic fork–join worker pool (`par_map`) |
-//! | [`stream`] | `sid-stream` | Push-based streaming driver + online detection engine |
+//! | [`stream`] | `sid-stream` | Push-based online detection engine: bounded rings, incremental ingest, snapshot/restore |
 //! | [`serve`] | `sid-serve` | Multi-tenant session manager: sharded pipelines, checkpoint/migrate/resume |
 //! | [`obs`] | `sid-obs` | Structured tracing, counters and per-stage timing |
 //! | [`alert`] | `sid-alert` | Alerting edge: severity, rate limiting, storm suppression, JSONL/CEF |
