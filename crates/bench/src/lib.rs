@@ -2,8 +2,7 @@
 //!
 //! Experiment-reproduction harness for the SID paper: one module per
 //! table/figure family, shared by the `bin/` targets (which print the
-//! paper-layout tables and write JSON under `results/`) and the Criterion
-//! benches.
+//! paper-layout tables and write JSON under `results/`).
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|

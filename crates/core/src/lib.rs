@@ -31,7 +31,7 @@
 //!
 //! | Equation | Meaning | Module / function |
 //! |---|---|---|
-//! | eq. 1–3 | wake/wave physics of the sensed signal | `sid-ocean` ([`Scene`](sid_ocean::Scene)), `sid-acoustic` |
+//! | eq. 1–3 | wake/wave physics of the sensed signal | `sid-ocean` ([`Scene`](sid_ocean::Scene)) |
 //! | eq. 4–6 | EWMA mean/std and the adaptive threshold `Th` | [`threshold::AdaptiveThreshold`], fed by [`preprocess::Preprocessor`] |
 //! | eq. 7 | anomaly frequency `af` over the sliding window | [`node_detect::NodeDetector`] |
 //! | eq. 8 | crossing energy `E_Δt` carried by a report | [`node_detect::NodeDetector`], [`report::NodeReport`] |

@@ -558,6 +558,25 @@ mod tests {
     }
 
     #[test]
+    fn pool_serves_the_next_batch_after_a_task_panic() {
+        // Tasks run under `catch_unwind` outside the queue lock, so a
+        // panicking task poisons nothing: the same pool keeps serving.
+        let pool = Pool::new(4);
+        let items: Vec<usize> = (0..64).collect();
+        for round in 0..3 {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.par_map(&items, |&x| {
+                    assert!(x != 63, "boom");
+                    x
+                })
+            }));
+            assert!(caught.is_err(), "round {round}: the caller sees the panic");
+            let expected: Vec<usize> = items.iter().map(|&x| x * 2 + round).collect();
+            assert_eq!(pool.par_map(&items, |&x| x * 2 + round), expected);
+        }
+    }
+
+    #[test]
     fn threads_arg_parsing() {
         let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(threads_from_args(&to_args(&["--threads", "4"])), Some(4));

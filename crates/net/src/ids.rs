@@ -1,4 +1,4 @@
-//! Identifier newtypes for nodes and clusters.
+//! Identifier newtype for sensor nodes.
 
 use std::fmt;
 
@@ -57,41 +57,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a static cluster cell.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct CellId(u32);
-
-impl CellId {
-    /// Creates a cell id.
-    pub const fn new(id: u32) -> Self {
-        CellId(id)
-    }
-
-    /// The raw id value.
-    pub const fn value(self) -> u32 {
-        self.0
-    }
-
-    /// The id as a vector index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl From<usize> for CellId {
-    fn from(i: usize) -> Self {
-        CellId(i as u32)
-    }
-}
-
-impl fmt::Display for CellId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cell{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +78,5 @@ mod tests {
         set.insert(NodeId::new(1));
         assert_eq!(set.len(), 1);
         assert!(NodeId::new(1) < NodeId::new(2));
-    }
-
-    #[test]
-    fn cell_id_basics() {
-        let c = CellId::from(3usize);
-        assert_eq!(c.index(), 3);
-        assert_eq!(c.to_string(), "cell3");
     }
 }

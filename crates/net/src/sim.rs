@@ -1,7 +1,7 @@
 //! Discrete-event scheduling and message delivery.
 //!
-//! [`EventScheduler`] is a generic time-ordered queue; [`Network`] combines
-//! a [`Topology`], a [`RadioModel`] and a scheduler into the message
+//! [`ShardedScheduler`] is a generic time-ordered queue; [`Network`]
+//! combines a [`Topology`], a [`RadioModel`] and a scheduler into the message
 //! fabric the detection system runs on: unicast to radio neighbors,
 //! neighborhood broadcast, and bounded flooding (the paper's "inform its
 //! neighbor nodes within N hops").
@@ -48,96 +48,17 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A generic min-time event queue with stable FIFO ordering for ties.
-///
-/// # Examples
-///
-/// ```
-/// use sid_net::EventScheduler;
-///
-/// let mut q = EventScheduler::new();
-/// q.schedule(2.0, "later");
-/// q.schedule(1.0, "sooner");
-/// assert_eq!(q.pop_until(1.5), vec![(1.0, "sooner")]);
-/// assert_eq!(q.len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventScheduler<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-}
-
-impl<E> EventScheduler<E> {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        EventScheduler {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is NaN.
-    pub fn schedule(&mut self, time: f64, event: E) {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        self.heap.push(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Time of the next event, if any.
-    pub fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Pops every event with `time <= until`, in time order.
-    pub fn pop_until(&mut self, until: f64) -> Vec<(f64, E)> {
-        let mut out = Vec::new();
-        while let Some(top) = self.heap.peek() {
-            if top.time > until {
-                break;
-            }
-            let s = self.heap.pop().expect("peeked");
-            out.push((s.time, s.event));
-        }
-        out
-    }
-}
-
-impl<E> Default for EventScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A lane-partitioned min-time queue with one global sequence counter.
 ///
 /// `K` independent lanes (one per region shard, see
 /// [`ShardMap`]) each hold a min-heap, but every insert
 /// draws its tie-break sequence number from a single shared counter.
-/// Popping merges lanes by `(time, seq)`, so the delivered order is
-/// *provably identical* to a single [`EventScheduler`] fed the same
-/// inserts in the same order: both emit the unique total order on
-/// `(time, seq)`, and the shared counter makes `seq` globally unique
-/// regardless of which lane an event lands in. A 1-lane scheduler *is*
-/// the single-queue behavior; region-parallel drivers use K lanes so
-/// shards can enqueue independently and still merge deterministically.
+/// Popping merges lanes by `(time, seq)`. The shared counter makes `seq`
+/// globally unique regardless of which lane an event lands in, so the
+/// delivered order is the unique total order on `(time, seq)` — time
+/// order with FIFO ties — at any lane count. A 1-lane scheduler *is* the
+/// single queue; region-parallel drivers use K lanes so shards can
+/// enqueue independently and still merge deterministically.
 ///
 /// # Examples
 ///
@@ -209,8 +130,7 @@ impl<E> ShardedScheduler<E> {
     }
 
     /// Pops every event with `time <= until`, merged across lanes into
-    /// ascending `(time, seq)` order — byte-for-byte the order a single
-    /// [`EventScheduler`] would deliver.
+    /// ascending `(time, seq)` order — the same order at any lane count.
     pub fn pop_until(&mut self, until: f64) -> Vec<(f64, E)> {
         let mut due: Vec<Scheduled<E>> = Vec::new();
         for lane in &mut self.lanes {
@@ -353,10 +273,10 @@ pub struct Network<M> {
     down_count: usize,
     /// Per node: earliest time its radio is free for the next frame.
     egress_free_at: Vec<f64>,
-    /// In-flight deliveries, bucketed by destination shard. With the
-    /// default single lane this behaves exactly like [`EventScheduler`];
-    /// [`set_shards`](Self::set_shards) re-buckets into K lanes whose
-    /// merged pop order is provably identical (shared `seq` counter).
+    /// In-flight deliveries, bucketed by destination shard. The default
+    /// is a single lane; [`set_shards`](Self::set_shards) re-buckets into
+    /// K lanes whose merged pop order is provably identical (shared `seq`
+    /// counter).
     queue: ShardedScheduler<Delivery<M>>,
     /// Destination shard per node (all zeros until `set_shards`).
     lane_of: Vec<usize>,
@@ -806,10 +726,11 @@ mod tests {
 
     #[test]
     fn scheduler_orders_by_time_then_fifo() {
-        let mut q = EventScheduler::new();
-        q.schedule(5.0, "c");
-        q.schedule(1.0, "a");
-        q.schedule(1.0, "b"); // same time: FIFO
+        let mut lane = StdRng::seed_from_u64(20);
+        let mut q = ShardedScheduler::new(3);
+        q.schedule(lane.gen_range(0..3), 5.0, "c");
+        q.schedule(lane.gen_range(0..3), 1.0, "a");
+        q.schedule(lane.gen_range(0..3), 1.0, "b"); // same time: FIFO
         let events = q.pop_until(10.0);
         assert_eq!(
             events,
@@ -820,9 +741,10 @@ mod tests {
 
     #[test]
     fn scheduler_pop_until_is_partial() {
-        let mut q = EventScheduler::new();
+        let mut lane = StdRng::seed_from_u64(21);
+        let mut q = ShardedScheduler::new(3);
         for i in 0..10 {
-            q.schedule(i as f64, i);
+            q.schedule(lane.gen_range(0..3), i as f64, i);
         }
         assert_eq!(q.pop_until(4.5).len(), 5);
         assert_eq!(q.next_time(), Some(5.0));
@@ -832,27 +754,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "event time must not be NaN")]
     fn scheduler_rejects_nan() {
-        EventScheduler::new().schedule(f64::NAN, ());
+        let lane = StdRng::seed_from_u64(22).gen_range(0..3);
+        ShardedScheduler::new(3).schedule(lane, f64::NAN, ());
     }
 
     #[test]
     fn sharded_scheduler_matches_single_queue_order() {
-        // Fuzz a shared insert stream into 1/2/4-lane schedulers and a
-        // plain EventScheduler: pop order must be identical for all.
+        // Fuzz a shared insert stream into 1/2/4-lane schedulers: each
+        // must pop the insert log stably sorted by time, which is the
+        // (time, seq) order by definition.
         let mut rng = StdRng::seed_from_u64(77);
         let inserts: Vec<(f64, usize)> = (0..500)
             .map(|i| ((rng.gen::<f64>() * 8.0).floor() * 0.5, i))
             .collect();
-        let mut single = EventScheduler::new();
         let mut lanes: Vec<ShardedScheduler<usize>> =
             [1, 2, 4].iter().map(|&k| ShardedScheduler::new(k)).collect();
         for &(t, id) in &inserts {
-            single.schedule(t, id);
             for q in lanes.iter_mut() {
                 q.schedule(id % q.lanes(), t, id);
             }
         }
-        let reference = single.pop_until(f64::INFINITY);
+        let mut reference = inserts;
+        reference.sort_by(|a, b| a.0.total_cmp(&b.0));
         for mut q in lanes {
             assert_eq!(q.pop_until(f64::INFINITY), reference);
         }

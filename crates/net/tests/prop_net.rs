@@ -4,14 +4,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sid_net::{EventScheduler, Network, NodeId, RadioModel, StaticCells, Topology};
+use sid_net::{Network, NodeId, RadioModel, ShardedScheduler, Topology};
 
 proptest! {
     #[test]
-    fn scheduler_pops_in_time_order(times in prop::collection::vec(0.0..1e6f64, 1..200)) {
-        let mut q = EventScheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
+    fn scheduler_pops_in_time_order(
+        times in prop::collection::vec((0.0..1e6f64, 0usize..4), 1..200),
+    ) {
+        let mut q = ShardedScheduler::new(4);
+        for (i, &(t, lane)) in times.iter().enumerate() {
+            q.schedule(lane, t, i);
         }
         let out = q.pop_until(f64::INFINITY);
         prop_assert_eq!(out.len(), times.len());
@@ -21,10 +23,10 @@ proptest! {
     }
 
     #[test]
-    fn scheduler_ties_are_fifo(n in 1usize..100) {
-        let mut q = EventScheduler::new();
-        for i in 0..n {
-            q.schedule(1.0, i);
+    fn scheduler_ties_are_fifo(lanes in prop::collection::vec(0usize..4, 1..100)) {
+        let mut q = ShardedScheduler::new(4);
+        for (i, &lane) in lanes.iter().enumerate() {
+            q.schedule(lane, 1.0, i);
         }
         let out = q.pop_until(2.0);
         for (i, (_, v)) in out.iter().enumerate() {
@@ -62,27 +64,6 @@ proptest! {
         for n in &small {
             prop_assert!(large.contains(n));
         }
-    }
-
-    #[test]
-    fn static_cells_partition_everything(
-        rows in 1usize..7,
-        cols in 1usize..7,
-        cr in 1usize..4,
-        cc in 1usize..4,
-    ) {
-        let topo = Topology::grid(rows, cols, 25.0, 30.0);
-        let cells = StaticCells::partition(&topo, cr, cc);
-        let mut seen = 0;
-        for c in 0..cells.cell_count() {
-            let members = cells.members(sid_net::CellId::from(c));
-            seen += members.len();
-            if !members.is_empty() {
-                let head = cells.head_of(sid_net::CellId::from(c));
-                prop_assert!(members.contains(&head));
-            }
-        }
-        prop_assert_eq!(seen, topo.len());
     }
 
     #[test]

@@ -149,8 +149,9 @@ pub enum SessionState {
 pub enum ServeError {
     /// No open session has this id (never issued, or already closed).
     UnknownSession(u64),
-    /// An advance asked for a negative, infinite or NaN number of
-    /// seconds; the session was left untouched.
+    /// An advance, or an entry in a resumed checkpoint's schedule, asked
+    /// for a negative, infinite or NaN number of seconds; the session was
+    /// left untouched, or not installed.
     InvalidDuration(f64),
     /// A resume replay produced a different journal than the checkpoint
     /// recorded — the builder, binary, or host diverged from the
@@ -295,6 +296,17 @@ impl Session {
         &self.pipeline
     }
 
+    /// Runs one validated advance on the event-driven driver and records
+    /// it in the replay schedule. Returns the ticks covered.
+    fn advance(&mut self, seconds: f64) -> u64 {
+        let ticks = self.pipeline.tick_count(seconds);
+        self.pipeline.run_events(seconds);
+        self.advances.push(seconds);
+        self.ticks += ticks;
+        self.state = SessionState::Running;
+        ticks
+    }
+
     /// Current summary.
     pub fn report(&self) -> SessionReport {
         let events = self.events();
@@ -421,12 +433,7 @@ impl SessionManager {
         if !valid_duration(seconds) {
             return Err(ServeError::InvalidDuration(seconds));
         }
-        let ticks = session.pipeline.tick_count(seconds);
-        session.pipeline.run_events(seconds);
-        session.advances.push(seconds);
-        session.ticks += ticks;
-        session.state = SessionState::Running;
-        Ok(ticks)
+        Ok(session.advance(seconds))
     }
 
     /// Advances every open session by `seconds`, in ascending session-id
@@ -437,12 +444,10 @@ impl SessionManager {
         if !valid_duration(seconds) {
             return 0;
         }
-        let ids = self.ids();
-        let mut total = 0;
-        for id in ids {
-            total += self.advance(id, seconds).expect("id listed as open");
-        }
-        total
+        self.sessions
+            .values_mut()
+            .map(|session| session.advance(seconds))
+            .sum()
     }
 
     /// Captures a replayable checkpoint of a session (the session keeps
@@ -472,8 +477,11 @@ impl SessionManager {
     ///
     /// # Errors
     ///
-    /// [`ServeError::FingerprintMismatch`] when the replay diverges from
-    /// what the checkpoint recorded; the session is not installed.
+    /// [`ServeError::InvalidDuration`] for the first negative, infinite
+    /// or NaN entry in the checkpoint's advance schedule (nothing is
+    /// built), and [`ServeError::FingerprintMismatch`] when the replay
+    /// diverges from what the checkpoint recorded. Either way the session
+    /// is not installed.
     pub fn resume(
         &mut self,
         checkpoint: &SessionCheckpoint,
@@ -488,13 +496,18 @@ impl SessionManager {
     ///
     /// # Errors
     ///
-    /// [`ServeError::FingerprintMismatch`] when the replay diverges.
+    /// As for [`resume`](Self::resume).
     pub fn resume_with_shards(
         &mut self,
         checkpoint: &SessionCheckpoint,
         shards: usize,
         build: impl FnOnce() -> IntrusionDetectionSystem,
     ) -> Result<SessionId, ServeError> {
+        // A bad entry would replay as 0 ticks, pass the fingerprint gate,
+        // and be re-exported by `checkpoint` as a value `advance` rejects.
+        if let Some(&bad) = checkpoint.advances.iter().find(|&&s| !valid_duration(s)) {
+            return Err(ServeError::InvalidDuration(bad));
+        }
         let obs = Obs::in_memory();
         let mut pipeline = build()
             .with_obs(obs.clone())
@@ -708,5 +721,16 @@ mod tests {
         assert_eq!(mgr.checkpoint(id).unwrap(), before);
         assert_eq!(mgr.session(id).unwrap().ticks(), 100);
         assert_eq!(mgr.session(id).unwrap().state(), SessionState::Running);
+        // A real checkpoint with a bad entry appended resumes nowhere.
+        let mut other = SessionManager::with_threads(1);
+        for seconds in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            let mut bad = before.clone();
+            bad.advances.push(seconds);
+            assert!(matches!(
+                other.resume(&bad, build(3)),
+                Err(ServeError::InvalidDuration(s)) if s.to_bits() == seconds.to_bits()
+            ));
+            assert!(other.is_empty(), "a bad schedule must not be installed");
+        }
     }
 }

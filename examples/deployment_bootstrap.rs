@@ -1,20 +1,18 @@
 //! Deployment bootstrap: the middleware the paper assumes
-//! (Section IV-A: time synchronization, localization, routing).
+//! (Section IV-A: time synchronization, routing).
 //!
-//! Before any detection can run, a freshly dropped fleet needs three
-//! things: synchronized clocks, known positions, and working multi-hop
-//! routes. This example boots a 6×6 deployment end-to-end: an FTSP-style
-//! sync round, anchor-ranging localization for every buoy, and a route
-//! probe to the sink — reporting the residual error budgets the detection
-//! layer then inherits.
+//! Before any detection can run, a freshly dropped fleet needs
+//! synchronized clocks and working multi-hop routes; each buoy reports
+//! its own position. This example boots a 6×6 deployment end-to-end: an
+//! FTSP-style sync round and a route probe to the sink — reporting the
+//! residual error budgets the detection layer then inherits.
 //!
 //! Run with: `cargo run --release --example deployment_bootstrap`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sid::net::localization::localize_with_noise;
-use sid::net::{Network, NodeId, Position, RadioModel, SyncModel, Topology};
+use sid::net::{Network, NodeId, RadioModel, SyncModel, Topology};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -33,33 +31,7 @@ fn main() {
     println!("time sync from {reference}: rms residual {:.1} ms, worst {:.1} ms", rms * 1e3, worst * 1e3);
     println!("  (speed estimation needs ≪ 1 s: budget is comfortable)\n");
 
-    // --- 2. Localization ----------------------------------------------
-    // Four anchor buoys with surveyed positions at the field corners.
-    let anchors = [
-        Position::new(-20.0, -20.0),
-        Position::new(145.0, -20.0),
-        Position::new(-20.0, 145.0),
-        Position::new(145.0, 145.0),
-    ];
-    let range_sigma = 2.0; // m: acoustic-ranging noise at the drift scale
-    let mut worst_err = 0.0f64;
-    let mut sum_err = 0.0;
-    for id in topo.node_ids() {
-        let truth = topo.position(id);
-        let fix = localize_with_noise(truth, &anchors, range_sigma, &mut rng)
-            .expect("anchor geometry is sound");
-        let err = fix.position.distance(&truth);
-        worst_err = worst_err.max(err);
-        sum_err += err;
-    }
-    println!(
-        "localization from 4 corner anchors (σ = {range_sigma} m ranging): mean error {:.1} m, worst {:.1} m",
-        sum_err / topo.len() as f64,
-        worst_err
-    );
-    println!("  (grid-cell assignment at 25 m spacing tolerates ~12 m)\n");
-
-    // --- 3. Routing ----------------------------------------------------
+    // --- 2. Routing ----------------------------------------------------
     let mut net: Network<&str> = Network::new(topo.clone(), RadioModel::lossy());
     let sink = NodeId::new(0);
     let mut delivered = 0;

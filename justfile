@@ -6,8 +6,9 @@ default:
 # Tier-1 gate: everything CI requires before merge.
 tier1: build test lint docs e2e-test obs-smoke dst-smoke alert-smoke dsp-smoke stream-gate sched-smoke fleet-smoke serve-smoke
 
-# Release build of the whole workspace, including every bench and bin
-# target (keeps the experiment harness compiling, not just the libraries).
+# Release build of the whole workspace, including every bin, example and
+# test target (keeps the experiment harness compiling, not just the
+# libraries).
 build:
     cargo build --release --workspace --all-targets
 
@@ -20,10 +21,12 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
 
 # e2e_bench is a standalone package outside the workspace, so `test` and
-# `lint` skip it: run its unit tests and clippy here. Part of tier1.
+# `lint` skip it: run its unit tests and clippy here. `--locked` fails the
+# recipe when a dependency change would rewrite e2e_bench/Cargo.lock,
+# instead of silently editing the benchmark. Part of tier1.
 e2e-test:
-    cargo test --offline -q --manifest-path e2e_bench/Cargo.toml
-    cargo clippy --offline --manifest-path e2e_bench/Cargo.toml --all-targets -- -D warnings
+    cargo test --offline --locked -q --manifest-path e2e_bench/Cargo.toml
+    cargo clippy --offline --locked --manifest-path e2e_bench/Cargo.toml --all-targets -- -D warnings
 
 # Executable-docs gate: rustdoc builds warning-free for every workspace
 # crate and every doctest passes. Part of tier1.

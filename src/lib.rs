@@ -14,9 +14,8 @@
 //! | [`dsp`] | `sid-dsp` | FFT, STFT, Morlet CWT, filters, running stats |
 //! | [`ocean`] | `sid-ocean` | Sea spectra, Kelvin wake, ship waves, buoys |
 //! | [`sensor`] | `sid-sensor` | LIS3L02DQ model, clocks, energy budgets |
-//! | [`net`] | `sid-net` | Topology, lossy radio, DES, clusters, time sync |
+//! | [`net`] | `sid-net` | Topology, lossy radio, message delivery, faults, time sync |
 //! | [`core`] | `sid-core` | The SID detection system itself |
-//! | [`acoustic`] | `sid-acoustic` | Underwater acoustics + fusion (the paper's future work) |
 //! | [`exec`] | `sid-exec` | Deterministic fork–join worker pool (`par_map`) |
 //! | [`stream`] | `sid-stream` | Push-based online detection engine: bounded rings, incremental ingest, snapshot/restore |
 //! | [`serve`] | `sid-serve` | Multi-tenant session manager: sharded pipelines, checkpoint/migrate/resume |
@@ -51,7 +50,6 @@
 
 #![warn(missing_docs)]
 
-pub use sid_acoustic as acoustic;
 pub use sid_alert as alert;
 pub use sid_core as core;
 pub use sid_dsp as dsp;
