@@ -23,13 +23,14 @@
 //!   `confirmed_implies_quorum` oracle must catch and shrink it.
 //! * `--fleet` expands seeds through `Scenario::fleet` instead of
 //!   `Scenario::generate`: free-form coastlines of 200–2000 duty-cycled
-//!   nodes, every one re-run through the event scheduler by the
-//!   `variant_equivalence` oracle. Use a seed range disjoint from the
-//!   committed smoke population, with `--no-write`.
+//!   nodes, every one re-run through the event scheduler (and one in
+//!   four on an 8-wide pool) by the `variant_equivalence` oracle. Use a
+//!   seed range disjoint from the committed smoke population, with
+//!   `--no-write`.
 //! * `--no-write` runs as a pure gate: the exit code and printed
 //!   fingerprint stand, but `results/DST_*.json` are left untouched
 //!   (for auxiliary seed slices that must not clobber the committed
-//!   `dst-smoke` population).
+//!   200-seed `dst-smoke` population).
 
 use std::time::Instant;
 

@@ -168,7 +168,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let threads = sid_exec::global().threads();
     if args.iter().any(|a| a == "--check") {
-        gate::exit("sched_bench", run_check(threads));
+        gate::exit("sched_bench --check", run_check(threads));
     }
     println!(
         "=== sched_bench: {threads} worker threads{} ===",

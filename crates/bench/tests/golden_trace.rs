@@ -84,7 +84,7 @@ fn dst_scenario_trace_matches_golden() {
 
 #[test]
 fn dst_fleet_scenario_matches_golden() {
-    // Fleet seed 3007 (inside the `just fleet-smoke` slice): 256 buoys
+    // Fleet seed 3007 (inside the fleet slice of `just dst-smoke`): 256 buoys
     // in a free-form coastline, a 13-node sentinel picket, two ships
     // and a 36-event fault campaign. The journal fingerprint pins the
     // entire run byte-for-byte — position generation, the spatial-hash

@@ -348,13 +348,14 @@ impl Scenario {
     /// overrides — so the two populations can never interleave their
     /// RNG streams.
     ///
-    /// Every fleet scenario carries exactly [`Variant::Events`], so the
+    /// Every fleet scenario carries [`Variant::Events`], so the
     /// `variant_equivalence` oracle re-runs it through `run_events` and
     /// requires a byte-identical journal: the fuzzer exercises large
     /// non-grid deployments end-to-end through the event loop on every
-    /// fleet seed. The other reruns and the alert-storm campaign are
-    /// forced off — they scale with node count and have their own
-    /// small-grid populations.
+    /// fleet seed. Seeds ≡ 0 mod 4 also carry [`Variant::Threads`]`(8)`,
+    /// so pool-width invariance is checked at fleet scale. The other
+    /// reruns and the alert-storm campaign are forced off — they scale
+    /// with node count and have their own small-grid populations.
     ///
     /// ```
     /// use sid_dst::{Scenario, Variant};
@@ -386,7 +387,11 @@ impl Scenario {
         scenario.free_form = true;
         scenario.duty_cycle = true;
         scenario.alert_storm = false;
-        scenario.variants = vec![Variant::Events];
+        scenario.variants = if seed.is_multiple_of(4) {
+            vec![Variant::Threads(8), Variant::Events]
+        } else {
+            vec![Variant::Events]
+        };
         scenario.duration = rng.gen_range(45..=90) as f64;
         scenario.sea_components = rng.gen_range(32..=64);
         // Re-expand the fault campaign for the fleet's node count (the
@@ -856,7 +861,12 @@ mod tests {
                 ]);
             }
             assert_eq!(Scenario::generate(seed).variants, want, "seed {seed}");
-            assert_eq!(Scenario::fleet(seed).variants, [Events], "fleet seed {seed}");
+            let fleet: &[Variant] = if seed % 4 == 0 {
+                &[Threads(8), Events]
+            } else {
+                &[Events]
+            };
+            assert_eq!(Scenario::fleet(seed).variants, fleet, "fleet seed {seed}");
         }
     }
 

@@ -66,7 +66,7 @@ fn fleet_class_runs_clean_and_is_thread_deterministic() {
     // Fleet seed 3007 (also the golden seed in sid-bench): a free-form
     // coastline over the spatial-hash index with an index-stride
     // sentinel picket. The fleet is shrunk for the debug build — the
-    // release `just fleet-smoke` slice runs full 200–2000-node sizes —
+    // release fleet slice in `just dst-smoke` runs full 200–2000-node sizes —
     // but the class behavior (free-form placement, hash index path at
     // 128 ≥ SPATIAL_HASH_THRESHOLD, forced duty cycling, the
     // `run_events` rerun every fleet seed carries) is unchanged.

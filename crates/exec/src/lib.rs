@@ -2,13 +2,12 @@
 //!
 //! A small deterministic parallel execution engine for the SID
 //! reproduction. The workspace is offline (no rayon), so this crate
-//! provides the two fork–join primitives the rest of the system needs —
-//! [`Pool::par_map`] and [`Pool::par_chunks`] — on top of `std::thread`
-//! alone.
+//! provides the one fork–join primitive the rest of the system needs —
+//! [`Pool::par_map`] — on top of `std::thread` alone.
 //!
 //! ## Determinism contract
 //!
-//! Both primitives place every result at the index of the input that
+//! `par_map` places every result at the index of the input that
 //! produced it, so the returned `Vec` is **independent of scheduling**:
 //! for a pure closure, `pool.par_map(items, f)` is byte-identical to
 //! `items.iter().map(f).collect()` no matter how many threads the pool
@@ -53,7 +52,7 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// Completion state of one `par_map`/`par_chunks` invocation.
+/// Completion state of one `par_map` invocation.
 struct Batch {
     remaining: Mutex<usize>,
     done_cv: Condvar,
@@ -193,24 +192,6 @@ impl Pool {
         out.into_iter()
             .map(|slot| slot.expect("sid-exec: chunk completed"))
             .collect()
-    }
-
-    /// Applies `f` to consecutive `chunk_size`-sized windows of `items`
-    /// (the last may be shorter), in parallel, one result per chunk, in
-    /// chunk order. `f` receives the chunk index and the chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be at least 1");
-        let chunks: Vec<(usize, &[T])> = items.chunks(chunk_size).enumerate().collect();
-        self.par_map(&chunks, |&(i, chunk)| f(i, chunk))
     }
 
     /// Runs a batch of borrowed tasks to completion, with the calling
@@ -488,23 +469,6 @@ mod tests {
         let seq: Vec<u64> = items.iter().map(f).collect();
         let par = Pool::new(8).par_map(&items, f);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_chunks_covers_everything_in_order() {
-        let items: Vec<usize> = (0..103).collect();
-        let pool = Pool::new(4);
-        let sums = pool.par_chunks(&items, 10, |i, chunk| {
-            (i, chunk.iter().sum::<usize>(), chunk.len())
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.last().unwrap().2, 3); // 103 = 10×10 + 3
-        let total: usize = sums.iter().map(|&(_, s, _)| s).sum();
-        assert_eq!(total, items.iter().sum::<usize>());
-        // Chunk indices arrive in order.
-        for (k, &(i, _, _)) in sums.iter().enumerate() {
-            assert_eq!(k, i);
-        }
     }
 
     #[test]

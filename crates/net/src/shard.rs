@@ -47,13 +47,15 @@ pub struct ShardMap {
 impl ShardMap {
     /// Builds the `K`-shard partition of `topology`.
     ///
-    /// `shards` is clamped to at least 1; asking for more shards than
-    /// there are occupied cell columns leaves the surplus shards empty
-    /// (the map still reports `shards()` lanes so schedulers can size
-    /// themselves from it).
+    /// `shards` is clamped to `1..=` the node count (1 when the
+    /// topology is empty), so a count read from outside — a session
+    /// checkpoint — cannot size the lane tables past the deployment.
+    /// Asking for more shards than there are occupied cell columns
+    /// leaves the surplus shards empty (the map still reports
+    /// `shards()` lanes so schedulers can size themselves from it).
     pub fn from_topology(topology: &Topology, shards: usize) -> Self {
-        let shards = shards.max(1);
         let n = topology.len();
+        let shards = shards.clamp(1, n.max(1));
         let range = topology.radio_range();
         // Cell key: identical to the spatial-hash column key.
         let col = |x: f64| (x / range).floor() as i64;

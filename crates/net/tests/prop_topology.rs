@@ -1,10 +1,11 @@
 //! Property tests for the neighbor-index equivalence (DESIGN.md §16):
 //! the spatial-hash index must produce tables bitwise equal to the
 //! brute-force scan on arbitrary placements — including co-located
-//! nodes, exact-boundary distances, negative coordinates, and the
-//! degenerate 1-node layout. The brute-force path is the oracle; any
-//! divergence here is a determinism bug that would silently fork
-//! journals between small and fleet-scale deployments.
+//! nodes, exact-boundary distances, negative coordinates, fleet-scale
+//! clustered coastlines, and the degenerate 1-node layout. The
+//! brute-force path is the oracle; any divergence here is a determinism
+//! bug that would silently fork journals between small and fleet-scale
+//! deployments.
 
 use proptest::prelude::*;
 
@@ -15,7 +16,7 @@ fn positions_of(raw: &[(f64, f64)]) -> Vec<Position> {
 }
 
 /// Builds both index variants and asserts every neighbor list is
-/// bitwise equal and strictly ascending.
+/// bitwise equal and strictly ascending, and the whole topologies equal.
 fn assert_index_equivalence(positions: Vec<Position>, range: f64) -> Result<(), String> {
     let brute = Topology::from_positions_with(positions.clone(), range, NeighborIndex::BruteForce);
     let hash = Topology::from_positions_with(positions, range, NeighborIndex::SpatialHash);
@@ -30,6 +31,10 @@ fn assert_index_equivalence(positions: Vec<Position>, range: f64) -> Result<(), 
             b
         );
     }
+    prop_assert!(
+        brute == hash,
+        "topologies differ beyond their neighbor lists"
+    );
     Ok(())
 }
 
@@ -108,5 +113,37 @@ proptest! {
                 vec![Position::new(x, y)], range, index);
             prop_assert!(t.neighbors(NodeId::from(0)).is_empty());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn hash_matches_brute_force_on_clustered_coastlines(
+        centres in prop::collection::vec((-40.0..40.0f64, 0.0..260.0f64), 4..=12),
+        scatter in prop::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 200..=2048),
+        radius in 60.0..=120.0f64,
+        range in 20.0..60.0f64,
+    ) {
+        // Fleet-scale placements: cluster centres strung eastward every
+        // 180 m (with jitter) along a coastline strip, nodes scattered
+        // round-robin about them, node 0 exactly at the first centre.
+        // Equal topologies give equal runs, so this is what keeps a fleet
+        // journal independent of the index choice.
+        let positions = scatter
+            .iter()
+            .enumerate()
+            .map(|(i, &(dx, dy))| {
+                let k = i % centres.len();
+                let (cx, cy) = (k as f64 * 180.0 + centres[k].0, centres[k].1);
+                if i == 0 {
+                    Position::new(cx, cy)
+                } else {
+                    Position::new(cx + dx * radius, cy + dy * radius)
+                }
+            })
+            .collect();
+        assert_index_equivalence(positions, range)?;
     }
 }

@@ -124,18 +124,6 @@ impl EnergyBudget {
         self.consumed_mj = self.consumed_mj.max(self.capacity_mj);
     }
 
-    /// Conservative lower bound on how many `dt`-second deep-sleep charges
-    /// this budget can absorb before [`EnergyBudget::is_depleted`] could turn
-    /// true.
-    ///
-    /// Used by event-driven drivers to schedule the next battery check for a
-    /// sleeping node instead of polling it every tick. The bound carries a 1%
-    /// safety margin so that repeated `charge_sleep(dt)` float accumulation
-    /// can never cross the capacity earlier than predicted; a driver may
-    /// therefore sleep for this many ticks and re-check, and it will observe
-    /// the depletion no later than an every-tick poll would. Returns
-    /// `u64::MAX` when sleep is free or `dt` is non-positive (the battery
-    /// never depletes from sleep alone).
     /// Replays deferred per-tick sleep charges on a batch of budgets:
     /// entry `(budget, k)` receives exactly `k` charges of
     /// [`EnergyBudget::charge_sleep`]`(dt)`, **bit-identical** to making
@@ -182,7 +170,9 @@ impl EnergyBudget {
     /// capacity. Returns `u64::MAX` when sleeping is free (zero or
     /// negative per-tick cost) and `0` when already depleted — callers
     /// use this to bound how far an event-driven driver may defer a
-    /// sleeping node's battery re-check.
+    /// sleeping node's battery re-check. A driver that sleeps this many
+    /// ticks and then re-checks observes the depletion no later than an
+    /// every-tick poll would.
     pub fn sleep_ticks_until_depletion(&self, dt: f64) -> u64 {
         let per_tick = self.model.sleep_per_sec_mj * dt.max(0.0);
         if !(per_tick > 0.0) {

@@ -399,6 +399,12 @@ impl SessionManager {
             .with_obs(obs.clone())
             .with_pool(self.pool.clone())
             .with_shards(spec.shards);
+        // Record the partition in use: the pipeline clamps the request
+        // to its node count.
+        let spec = SessionSpec {
+            shards: pipeline.shards(),
+            ..spec
+        };
         let id = self.next;
         self.next += 1;
         self.sessions.insert(
@@ -535,7 +541,7 @@ impl SessionManager {
                 spec: SessionSpec {
                     tenant: checkpoint.tenant.clone(),
                     seed: checkpoint.seed,
-                    shards: shards.max(1),
+                    shards: pipeline.shards(),
                 },
                 pipeline,
                 obs,
@@ -633,6 +639,8 @@ mod tests {
         let reference = fp(1);
         assert_eq!(fp(2), reference);
         assert_eq!(fp(4), reference);
+        // Clamped to the node count, not allocated as delivery lanes.
+        assert_eq!(fp(usize::MAX), reference);
     }
 
     #[test]
@@ -650,13 +658,27 @@ mod tests {
         let id2 = other.resume_with_shards(&ckpt, 4, build(11)).unwrap();
         assert_eq!(other.session(id2).unwrap().ticks(), mgr.session(id).unwrap().ticks());
 
+        // A checkpoint is outside input: an absurd shard count resumes
+        // on the 16-node deployment's 16 shards, and says so.
+        let huge = SessionCheckpoint {
+            shards: 1 << 40,
+            ..ckpt.clone()
+        };
+        let mut third = SessionManager::with_threads(2);
+        let id3 = third.resume(&huge, build(11)).unwrap();
+        assert_eq!(third.checkpoint(id3).unwrap().shards, 16);
+
         mgr.advance(id, 60.0).unwrap();
         other.advance(id2, 60.0).unwrap();
+        third.advance(id3, 60.0).unwrap();
         let a = mgr.close(id).unwrap();
         let b = other.close(id2).unwrap();
+        let c = third.close(id3).unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.ticks, b.ticks);
         assert_eq!(a.events, b.events);
+        assert_eq!(c.fingerprint, a.fingerprint);
+        assert_eq!(c.shards, 16);
     }
 
     #[test]

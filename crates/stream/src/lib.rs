@@ -20,9 +20,9 @@
 //! simulated system is driven by `sid_core::Pipeline::run` (the tick
 //! sweep) or `run_events` (the event-driven scheduler).
 //!
-//! Benchmarks: `cargo run --release -p sid-bench --bin stream_bench`
-//! reports sustained samples/sec and peak resident window memory to
-//! `results/BENCH_stream.json`.
+//! Benchmark: the `stream_ingest` workload of `e2e_bench` (see
+//! `e2e_bench/README.md`) measures sustained samples/sec and peak
+//! resident window memory end to end.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

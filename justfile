@@ -4,7 +4,7 @@ default:
     @just --list
 
 # Tier-1 gate: everything CI requires before merge.
-tier1: build test lint docs e2e-test obs-smoke dst-smoke alert-smoke dsp-smoke stream-gate sched-smoke fleet-smoke serve-smoke
+tier1: build test lint docs e2e-test obs-smoke dst-smoke alert-smoke dsp-smoke sched-smoke e2e-gate
 
 # Release build of the whole workspace, including every bin, example and
 # test target (keeps the experiment harness compiling, not just the
@@ -46,13 +46,26 @@ obs-smoke:
     SID_OBS=jsonl cargo run --release -p sid-bench --bin chaos_sweep -- --quick
     cargo run --release -p sid-bench --bin obs_check
 
-# Deterministic simulation-testing smoke (see DESIGN.md §11): 200 seeds
-# through the sid-dst scenario generator, all invariant oracles, zero
-# violations expected. Failing seeds are shrunk and persisted to
-# results/DST_failures.json; replay one with
-# `cargo run --release -p sid-bench --bin dst -- --seed <n>`.
+# Deterministic simulation-testing smoke (see DESIGN.md §11): four
+# seed slices through the sid-dst scenario generator, all invariant
+# oracles, zero violations expected.
+# - 200 seeds from 1000: the general population. Failing seeds are shrunk
+#   and persisted to results/DST_failures.json; replay one with
+#   `cargo run --release -p sid-bench --bin dst -- --seed <n>`.
+# - 40 seeds from 2000: includes the Variant::Events seeds (seed % 4 == 2
+#   re-runs every scenario through run_events; variant_equivalence
+#   requires byte-identical journals).
+# - 20 fleet seeds from 3000: free-form coastlines of 200–2000
+#   duty-cycled nodes, every seed re-run through run_events and seeds
+#   % 4 == 0 also on an 8-wide pool.
+# - 24 seeds from 4000: the sharded population (seed % 8 == 5 carries the
+#   Variant::Sharded reruns at K ∈ {2, 4} shards across pool widths plus
+#   the two sid-serve legs, one of them a checkpoint → migrate → resume).
 dst-smoke:
     cargo run --release -p sid-bench --bin dst -- --seeds 200 --seed-start 1000
+    cargo run --release -p sid-bench --bin dst -- --seeds 40 --seed-start 2000 --no-write
+    cargo run --release -p sid-bench --bin dst -- --fleet --seeds 20 --seed-start 3000 --no-write
+    cargo run --release -p sid-bench --bin dst -- --seeds 24 --seed-start 4000 --no-write
 
 # Alerting-edge smoke (see DESIGN.md §13): the fixture alert storm must
 # ignite (suppressions + coalesced summaries + one rejected and one
@@ -74,12 +87,6 @@ repro:
 bench-perf:
     cargo run --release -p sid-bench --bin perf_bench
 
-# Streaming-engine benchmark: sustained StreamEngine samples/sec and
-# peak resident window memory to results/BENCH_stream.json (see
-# DESIGN.md §12).
-bench-stream:
-    cargo run --release -p sid-bench --bin stream_bench
-
 # Spectral front-end micro-benchmark: rfft vs complex FFT, sliding vs
 # batch STFT, Goertzel vs FFT band power, fast vs legacy classification.
 # Writes results/BENCH_dsp.json (see DESIGN.md §14).
@@ -92,22 +99,10 @@ bench-dsp:
 dsp-smoke:
     cargo run --release -p sid-bench --bin dsp_bench -- --quick
 
-# Streaming-throughput regression gate: re-measure the full-length
-# engine section the baseline records and fail if sustained samples/sec
-# fell below 0.25x the committed results/BENCH_stream.json baseline
-# (sid_bench::gate::CHECK_FLOOR). Reads the baseline before measuring
-# and writes nothing. Part of tier1.
-stream-gate:
-    cargo run --release -p sid-bench --bin stream_bench -- --check --threads 1
-
-# Event-driven scheduler smoke (see DESIGN.md §15): a DST slice off the
-# dst-smoke range that includes the Variant::Events seeds (seed % 4 == 2
-# re-runs every scenario through run_events, and variant_equivalence
-# requires byte-identical journals), then the sched_bench gate —
-# equivalence on the idle-heavy field plus at least a 5x wall-clock win
-# over the fixed-tick sweep. Part of tier1.
+# Event-driven scheduler gate (see DESIGN.md §15): journal equivalence
+# on the idle-heavy field plus at least a 5x wall-clock win of the event
+# loop over the fixed-tick sweep. Part of tier1.
 sched-smoke:
-    cargo run --release -p sid-bench --bin dst -- --seeds 40 --seed-start 2000 --no-write
     cargo run --release -p sid-bench --bin sched_bench -- --quick --check --threads 1
 
 # Scheduler benchmark: full 128x128 idle-heavy comparison of the tick
@@ -115,41 +110,11 @@ sched-smoke:
 bench-sched:
     cargo run --release -p sid-bench --bin sched_bench
 
-# Fleet-scale smoke (see DESIGN.md §16): the fleet_bench gate — neighbor
-# tables identical across brute-force vs spatial-hash index, journal
-# fingerprints identical across 1/2/4/8 threads, index choice and
-# tick-vs-event driver, and a ≥1000-node fleet simulated faster than
-# real time against the committed results/BENCH_fleet.json baseline
-# (read before measuring; nothing written) — then a 20-seed fleet-class
-# DST slice (free-form coastlines of 200–2000 duty-cycled nodes, every
-# seed carrying Variant::Events: re-run through run_events and checked
-# by the variant_equivalence oracle).
-# Part of tier1.
-fleet-smoke:
-    cargo run --release -p sid-bench --bin fleet_bench -- --check --threads 1
-    cargo run --release -p sid-bench --bin dst -- --fleet --seeds 20 --seed-start 3000 --no-write
-
-# Fleet benchmark: the full 2048-node coastline across thread counts and
-# index implementations; writes results/BENCH_fleet.json.
-bench-fleet:
-    cargo run --release -p sid-bench --bin fleet_bench
-
-# Multi-tenant service smoke (see DESIGN.md §17): the serve_bench gate —
-# ≥8 tenant sessions multiplexed on one pool with per-tenant journal
-# fingerprints identical at 1/2/4/8 threads, a mid-run checkpoint →
-# migrate (different pool width and shard count) → resume landing on the
-# same bytes, and aggregate faster-than-real-time throughput against the
-# committed results/BENCH_serve.json baseline (read before measuring;
-# nothing written) — then a 24-seed DST slice covering the sharded
-# population (seed % 8 == 5 carries the Variant::Sharded reruns at
-# K ∈ {2, 4} shards across pool widths plus the two sid-serve legs, all
-# checked by variant_equivalence).
-# Part of tier1.
-serve-smoke:
-    cargo run --release -p sid-bench --bin serve_bench -- --check --threads 1
-    cargo run --release -p sid-bench --bin dst -- --seeds 24 --seed-start 4000 --no-write
-
-# Multi-tenant service benchmark: the full 12-tenant population across
-# thread counts plus the migration leg; writes results/BENCH_serve.json.
-bench-serve:
-    cargo run --release -p sid-bench --bin serve_bench
+# Tier-1 perf gate over BENCHMARK.json's own workloads (see
+# EXPERIMENTS.md): each e2e_bench workload once at seed 1 — one pass at
+# pool width 2, one at width 1 — failing on any correctness failure or a
+# node_samples_per_s below 0.25x the committed
+# e2e_bench/results/baseline-seed1.json (sid_bench::gate::CHECK_FLOOR).
+# Reads the baseline before measuring and writes nothing. Part of tier1.
+e2e-gate:
+    cargo run --release -p sid-bench --bin e2e_gate

@@ -75,6 +75,9 @@ fn parse_args() -> Result<Args, String> {
                 let knots: f64 = parts[0].parse().map_err(|e| format!("--ship knots: {e}"))?;
                 let offset: f64 = parts[1].parse().map_err(|e| format!("--ship offset: {e}"))?;
                 let heading: f64 = parts[2].parse().map_err(|e| format!("--ship heading: {e}"))?;
+                if ![knots, offset, heading].iter().all(|v| v.is_finite()) {
+                    return Err(format!("--ship fields must be finite numbers, got `{spec}`"));
+                }
                 if knots <= 0.0 {
                     return Err("--ship speed must be positive".into());
                 }
