@@ -8,9 +8,9 @@
 //! empty array, so CI can diff it).
 //!
 //! Usage: `dst [--seeds N] [--seed-start S] [--seed n] [--threads N]
-//! [--quick] [--sabotage] [--fleet] [--no-write]`. An unknown flag or an
-//! unparsable value prints the usage and exits 2 before anything runs
-//! or is written.
+//! [--quick] [--sabotage] [--fleet] [--no-write] [--expect-fingerprint HEX]`.
+//! An unknown flag or an unparsable value prints the usage and exits 2
+//! before anything runs or is written.
 //!
 //! * default: 200 seeds from 1000 (`--quick`: 40) fanned over the
 //!   worker pool. Each scenario itself runs single-threaded, so
@@ -31,6 +31,10 @@
 //!   fingerprint stand, but `results/DST_*.json` are left untouched
 //!   (for auxiliary seed slices that must not clobber the committed
 //!   200-seed `dst-smoke` population).
+//! * `--expect-fingerprint HEX` pins the population fingerprint: a run
+//!   that prints any other value exits 1, even with zero violations. It
+//!   turns "no journal bit moved" into a gate, so a deliberate
+//!   re-baseline shows up as a change to the pinned value.
 
 use std::time::Instant;
 
@@ -39,7 +43,8 @@ use sid_dst::{check_all, execute, shrink, FailureRecord, Sabotage, Scenario, SHR
 use sid_obs::{fnv1a, Event, Obs, RunSummary, StageCounts};
 
 const USAGE: &str = "usage: dst [--seeds N] [--seed-start S] [--seed n] [--threads N] \
-                     [--quick] [--sabotage] [--fleet] [--no-write]";
+                     [--quick] [--sabotage] [--fleet] [--no-write] \
+                     [--expect-fingerprint HEX]";
 
 /// The parsed command line.
 #[derive(Debug, Default, PartialEq)]
@@ -52,6 +57,7 @@ struct Args {
     sabotage: bool,
     fleet: bool,
     no_write: bool,
+    expect_fingerprint: Option<u64>,
 }
 
 /// Parses the command line, rejecting unknown flags and unparsable
@@ -70,10 +76,14 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--sabotage" => &mut out.sabotage,
             "--fleet" => &mut out.fleet,
             "--no-write" => &mut out.no_write,
-            "--seeds" | "--seed-start" | "--seed" | "--threads" => {
+            "--seeds" | "--seed-start" | "--seed" | "--threads" | "--expect-fingerprint" => {
                 let value = inline
                     .or_else(|| iter.next().map(String::as_str))
                     .ok_or_else(|| format!("{name} needs a value"))?;
+                if name == "--expect-fingerprint" {
+                    out.expect_fingerprint = Some(parse_fingerprint(value)?);
+                    continue;
+                }
                 let n: u64 = value
                     .parse()
                     .map_err(|_| format!("{name}: '{value}' is not a non-negative integer"))?;
@@ -93,7 +103,34 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         }
         *switch = true;
     }
+    if out.seed.is_some() && out.expect_fingerprint.is_some() {
+        return Err("--expect-fingerprint pins a population run, not a --seed replay".to_string());
+    }
     Ok(out)
+}
+
+/// Parses a fingerprint as `dst` prints it: 1–16 hex digits.
+fn parse_fingerprint(value: &str) -> Result<u64, String> {
+    let bad = || format!("--expect-fingerprint: '{value}' is not a 64-bit hex fingerprint");
+    if value.is_empty() || value.len() > 16 || !value.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(bad());
+    }
+    u64::from_str_radix(value, 16).map_err(|_| bad())
+}
+
+/// Why the population run fails, if it does: a violating seed, or a
+/// fingerprint other than the one `--expect-fingerprint` pinned.
+fn verdict(violations: usize, fingerprint: u64, expected: Option<u64>) -> Result<(), String> {
+    if violations > 0 {
+        return Err(format!("{violations} violating seeds"));
+    }
+    match expected {
+        Some(want) if want != fingerprint => Err(format!(
+            "fingerprint {fingerprint:016x} differs from the expected {want:016x}: \
+             the journals drifted"
+        )),
+        _ => Ok(()),
+    }
 }
 
 struct SeedOutcome {
@@ -253,7 +290,8 @@ fn main() {
         pool.threads(),
         wall.elapsed().as_secs_f64()
     );
-    if !failures.is_empty() {
+    if let Err(why) = verdict(failures.len(), fingerprint, args.expect_fingerprint) {
+        eprintln!("dst: {why}");
         std::process::exit(1);
     }
 }
@@ -291,6 +329,50 @@ mod tests {
         assert!(parse("--seeds x").unwrap_err().contains("--seeds"));
         assert!(parse("--threads 0").is_err());
         assert!(parse("--seed-start").unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn parses_the_expected_fingerprint() {
+        let args = parse("--fleet --expect-fingerprint 6d6ff1804ddfde87").expect("valid");
+        assert_eq!(args.expect_fingerprint, Some(0x6d6f_f180_4ddf_de87));
+        let args = parse("--expect-fingerprint=FFBAF8A999BD99A4").expect("valid");
+        assert_eq!(args.expect_fingerprint, Some(0xffba_f8a9_99bd_99a4));
+        assert_eq!(
+            parse("--expect-fingerprint 0").unwrap().expect_fingerprint,
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn rejects_a_bad_fingerprint() {
+        // Passed as one `--flag=value` argument, so the embedded space
+        // survives the whitespace split in `parse`.
+        for bad in [
+            "xyz",
+            "0x6d6f",
+            "-1",
+            "+1",
+            "6d6ff1804ddfde87a",
+            "6d6f f180",
+        ] {
+            let args = [format!("--expect-fingerprint={bad}")];
+            assert!(parse_args(&args).is_err(), "{bad} accepted");
+        }
+        let missing = parse("--expect-fingerprint").unwrap_err();
+        assert!(missing.contains("needs a value"));
+        assert!(parse("--expect-fingerprint=").is_err());
+        assert!(parse("--seed 7 --expect-fingerprint 1").is_err());
+    }
+
+    #[test]
+    fn verdict_pins_the_fingerprint() {
+        assert!(verdict(0, 0xabc, None).is_ok());
+        assert!(verdict(0, 0xabc, Some(0xabc)).is_ok());
+        let drift = verdict(0, 0xabc, Some(0xabd)).unwrap_err();
+        assert!(drift.contains("0000000000000abc") && drift.contains("0000000000000abd"));
+        let violations = verdict(2, 0xabc, Some(0xabc)).unwrap_err();
+        assert!(violations.contains("2 violating"));
+        assert!(verdict(1, 0xabc, None).is_err());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! Two sections:
 //!
 //! * **wave synthesis** — per-sample `SeaState::acceleration` vs. the
-//!   phase-recurrence `acceleration_block`, in samples/sec (the block path
-//!   does one complex rotation per spectral component per step instead of
-//!   two `sin_cos` calls);
+//!   phase-recurrence `acceleration_block`, in samples/sec (per spectral
+//!   component, the pointwise path does one `sincos` per sample and the
+//!   block path one complex rotation per step);
 //! * **figure jobs** — wall time of representative figure/table jobs at
 //!   the configured thread count.
 //!

@@ -9,14 +9,20 @@
 //! experiments need — nearby buoys see correlated, time-shifted water.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::dispersion::deep_wavenumber;
 use crate::spectrum::WaveSpectrum;
 use crate::units::Vec2;
 
 /// One harmonic component of the synthesised sea.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// The first five fields are the component and all it serializes. The
+/// rest are derived from them once, at synthesis or deserialization, by
+/// the same expressions a sample would otherwise evaluate: a sample costs
+/// one phase and one `sincos` per component, and every product rounds as
+/// if the constants were recomputed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SeaComponent {
     amplitude: f64,
     omega: f64,
@@ -24,6 +30,65 @@ struct SeaComponent {
     /// Propagation direction (radians from +x).
     direction: f64,
     phase: f64,
+    /// `(cos d, sin d)`: the unit propagation direction.
+    unit: Vec2,
+    /// The wave vector, `unit · wavenumber`.
+    k_vec: Vec2,
+    /// `A·ω²`: the acceleration amplitude.
+    aw2: f64,
+}
+
+impl SeaComponent {
+    fn new(amplitude: f64, omega: f64, wavenumber: f64, direction: f64, phase: f64) -> Self {
+        let unit = Vec2::new(direction.cos(), direction.sin());
+        SeaComponent {
+            amplitude,
+            omega,
+            wavenumber,
+            direction,
+            phase,
+            unit,
+            k_vec: unit.scale(wavenumber),
+            aw2: amplitude * omega * omega,
+        }
+    }
+
+    /// The component's phase at `position` and time `t`.
+    #[inline]
+    fn phase_at(&self, position: Vec2, t: f64) -> f64 {
+        self.k_vec.dot(position) - self.omega * t + self.phase
+    }
+}
+
+impl Serialize for SeaComponent {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, x: f64| (name.to_string(), x.to_value());
+        Value::Map(vec![
+            field("amplitude", self.amplitude),
+            field("omega", self.omega),
+            field("wavenumber", self.wavenumber),
+            field("direction", self.direction),
+            field("phase", self.phase),
+        ])
+    }
+}
+
+impl Deserialize for SeaComponent {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for struct SeaComponent"))?;
+        let field = |name: &str| -> Result<f64, serde::Error> {
+            Deserialize::from_value(serde::map_get(m, name)?)
+        };
+        Ok(SeaComponent::new(
+            field("amplitude")?,
+            field("omega")?,
+            field("wavenumber")?,
+            field("direction")?,
+            field("phase")?,
+        ))
+    }
 }
 
 /// A frozen realisation of a random sea.
@@ -95,13 +160,13 @@ impl SeaState {
                         break d;
                     }
                 };
-                SeaComponent {
+                SeaComponent::new(
                     amplitude,
                     omega,
-                    wavenumber: deep_wavenumber(omega),
-                    direction: mean_direction + spread,
-                    phase: rng.gen_range(0.0..std::f64::consts::TAU),
-                }
+                    deep_wavenumber(omega),
+                    mean_direction + spread,
+                    rng.gen_range(0.0..std::f64::consts::TAU),
+                )
             })
             .collect();
         SeaState {
@@ -121,17 +186,11 @@ impl SeaState {
         self.components.len()
     }
 
-    #[inline]
-    fn component_phase(&self, c: &SeaComponent, position: Vec2, t: f64) -> f64 {
-        let k_vec = Vec2::new(c.direction.cos(), c.direction.sin()).scale(c.wavenumber);
-        k_vec.dot(position) - c.omega * t + c.phase
-    }
-
     /// Sea-surface elevation (m) at `position` and time `t` (s).
     pub fn elevation(&self, position: Vec2, t: f64) -> f64 {
         self.components
             .iter()
-            .map(|c| c.amplitude * self.component_phase(c, position, t).cos())
+            .map(|c| c.amplitude * c.phase_at(position, t).cos())
             .sum()
     }
 
@@ -141,14 +200,13 @@ impl SeaState {
     pub fn acceleration(&self, position: Vec2, t: f64) -> [f64; 3] {
         let mut a = [0.0f64; 3];
         for c in &self.components {
-            let phi = self.component_phase(c, position, t);
-            let aw2 = c.amplitude * c.omega * c.omega;
+            let phi = c.phase_at(position, t);
             // Deep-water linear theory at the surface: vertical accel
             // −∂²η/∂t² in phase with −cos, horizontal 90° out of phase.
-            a[2] -= aw2 * phi.cos();
-            let h = aw2 * phi.sin();
-            a[0] += h * c.direction.cos();
-            a[1] += h * c.direction.sin();
+            a[2] -= c.aw2 * phi.cos();
+            let h = c.aw2 * phi.sin();
+            a[0] += h * c.unit.x;
+            a[1] += h * c.unit.y;
         }
         a
     }
@@ -159,7 +217,7 @@ impl SeaState {
         (self
             .components
             .iter()
-            .map(|c| (c.amplitude * c.omega * c.omega).powi(2) / 2.0)
+            .map(|c| c.aw2.powi(2) / 2.0)
             .sum::<f64>())
         .sqrt()
     }
@@ -199,19 +257,17 @@ impl SeaState {
     pub fn accumulate_block(&self, position: Vec2, t0: f64, dt: f64, out: &mut [[f64; 3]]) {
         let n = out.len();
         for c in &self.components {
-            let (dir_sin, dir_cos) = c.direction.sin_cos();
-            let aw2 = c.amplitude * c.omega * c.omega;
             let (rot_sin, rot_cos) = (-c.omega * dt).sin_cos();
             let mut start = 0;
             while start < n {
                 let end = (start + PHASE_RESYNC_STEPS).min(n);
-                let phi = self.component_phase(c, position, t0 + start as f64 * dt);
+                let phi = c.phase_at(position, t0 + start as f64 * dt);
                 let (mut sin, mut cos) = phi.sin_cos();
                 for slot in &mut out[start..end] {
-                    slot[2] -= aw2 * cos;
-                    let h = aw2 * sin;
-                    slot[0] += h * dir_cos;
-                    slot[1] += h * dir_sin;
+                    slot[2] -= c.aw2 * cos;
+                    let h = c.aw2 * sin;
+                    slot[0] += h * c.unit.x;
+                    slot[1] += h * c.unit.y;
                     let next_sin = sin * rot_cos + cos * rot_sin;
                     cos = cos * rot_cos - sin * rot_sin;
                     sin = next_sin;
@@ -243,9 +299,134 @@ impl SeaState {
 /// `PHASE_RESYNC_STEPS × ε`, i.e. ~3e-14, independent of record length.
 pub const PHASE_RESYNC_STEPS: usize = 256;
 
+/// The synthesis formulas without the cached per-component constants:
+/// each sample recomputes the direction's cos and sin, the wave vector and
+/// `Aω²` from the five stored fields. The oracle tests require the cached
+/// kernel to match these bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use rand::SeedableRng;
+
+    /// A component's serialized form: the five stored fields, as a derive
+    /// writes them.
+    #[derive(Serialize)]
+    pub(crate) struct Component {
+        amplitude: f64,
+        omega: f64,
+        wavenumber: f64,
+        direction: f64,
+        phase: f64,
+    }
+
+    /// [`SeaState`]'s serialized form, as a derive writes it.
+    #[derive(Serialize)]
+    pub(crate) struct Sea {
+        components: Vec<Component>,
+        spectrum: WaveSpectrum,
+        mean_direction: f64,
+    }
+
+    impl From<&SeaState> for Sea {
+        fn from(sea: &SeaState) -> Self {
+            Sea {
+                components: sea
+                    .components
+                    .iter()
+                    .map(|c| Component {
+                        amplitude: c.amplitude,
+                        omega: c.omega,
+                        wavenumber: c.wavenumber,
+                        direction: c.direction,
+                        phase: c.phase,
+                    })
+                    .collect(),
+                spectrum: sea.spectrum,
+                mean_direction: sea.mean_direction,
+            }
+        }
+    }
+
+    fn component_phase(c: &SeaComponent, position: Vec2, t: f64) -> f64 {
+        let k_vec = Vec2::new(c.direction.cos(), c.direction.sin()).scale(c.wavenumber);
+        k_vec.dot(position) - c.omega * t + c.phase
+    }
+
+    pub(crate) fn elevation(sea: &SeaState, position: Vec2, t: f64) -> f64 {
+        sea.components
+            .iter()
+            .map(|c| c.amplitude * component_phase(c, position, t).cos())
+            .sum()
+    }
+
+    pub(crate) fn acceleration(sea: &SeaState, position: Vec2, t: f64) -> [f64; 3] {
+        let mut a = [0.0f64; 3];
+        for c in &sea.components {
+            let phi = component_phase(c, position, t);
+            let aw2 = c.amplitude * c.omega * c.omega;
+            a[2] -= aw2 * phi.cos();
+            let h = aw2 * phi.sin();
+            a[0] += h * c.direction.cos();
+            a[1] += h * c.direction.sin();
+        }
+        a
+    }
+
+    pub(crate) fn accumulate_block(
+        sea: &SeaState,
+        position: Vec2,
+        t0: f64,
+        dt: f64,
+        out: &mut [[f64; 3]],
+    ) {
+        let n = out.len();
+        for c in &sea.components {
+            let (dir_sin, dir_cos) = c.direction.sin_cos();
+            let aw2 = c.amplitude * c.omega * c.omega;
+            let (rot_sin, rot_cos) = (-c.omega * dt).sin_cos();
+            let mut start = 0;
+            while start < n {
+                let end = (start + PHASE_RESYNC_STEPS).min(n);
+                let phi = component_phase(c, position, t0 + start as f64 * dt);
+                let (mut sin, mut cos) = phi.sin_cos();
+                for slot in &mut out[start..end] {
+                    slot[2] -= aw2 * cos;
+                    let h = aw2 * sin;
+                    slot[0] += h * dir_cos;
+                    slot[1] += h * dir_sin;
+                    let next_sin = sin * rot_cos + cos * rot_sin;
+                    cos = cos * rot_cos - sin * rot_sin;
+                    sin = next_sin;
+                }
+                start = end;
+            }
+        }
+    }
+
+    /// A seeded sea of `n` components from one of three spectra, with a
+    /// random mean direction.
+    pub(crate) fn random_sea(seed: u64, n: usize) -> SeaState {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let spectrum = match seed % 3 {
+            0 => WaveSpectrum::calm_sea(),
+            1 => WaveSpectrum::moderate_sea(),
+            _ => WaveSpectrum::sheltered_harbor(),
+        };
+        let mean = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
+        SeaState::synthesize_with_direction(spectrum, n, mean, &mut rng)
+    }
+
+    /// Whether two samples agree bit for bit on every axis.
+    pub(crate) fn same_bits(a: [f64; 3], b: [f64; 3]) -> bool {
+        a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{random_sea, same_bits};
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -425,5 +606,43 @@ mod tests {
             mean_period > 0.4 * peak_period && mean_period < 1.6 * peak_period,
             "mean {mean_period} vs peak {peak_period}"
         );
+    }
+
+    proptest! {
+        /// The cached kernel reproduces the uncached formulas bit for bit,
+        /// before and after a serialization round trip, and serializes to
+        /// exactly the fields and values a derive writes.
+        #[test]
+        fn cached_kernel_matches_reference_bits(
+            seed in 0u64..1_000_000,
+            n in 1usize..=128,
+            (x, y) in (-2000.0..2000.0f64, -2000.0..2000.0f64),
+            t in 0.0..4000.0f64,
+            dt in 0.005..0.1f64,
+            len in 1usize..=600,
+        ) {
+            let sea = random_sea(seed, n);
+            let value = sea.to_value();
+            prop_assert!(value == reference::Sea::from(&sea).to_value());
+            let back = SeaState::from_value(&value).expect("round trip");
+            prop_assert!(back == sea);
+            let p = Vec2::new(x, y);
+            for s in [&sea, &back] {
+                prop_assert_eq!(
+                    s.elevation(p, t).to_bits(),
+                    reference::elevation(&sea, p, t).to_bits()
+                );
+                prop_assert!(same_bits(s.acceleration(p, t), reference::acceleration(&sea, p, t)));
+                // Start from a non-zero record: the block adds, it does
+                // not overwrite.
+                let start: Vec<[f64; 3]> =
+                    (0..len).map(|i| [i as f64, -0.5 * i as f64, 1.0]).collect();
+                let mut got = start.clone();
+                s.accumulate_block(p, t, dt, &mut got);
+                let mut want = start;
+                reference::accumulate_block(&sea, p, t, dt, &mut want);
+                prop_assert!(got.iter().zip(&want).all(|(a, b)| same_bits(*a, *b)));
+            }
+        }
     }
 }

@@ -108,21 +108,12 @@ impl Ship {
     /// Geometry of this ship's track relative to a fixed `point`, ignoring
     /// sway (the nominal straight sailing line).
     pub fn track_geometry(&self, point: Vec2) -> TrackGeometry {
-        let u = Vec2::from_heading(self.heading);
-        let rel = point - self.start;
-        let along = rel.dot(u);
-        let cross = u.cross(rel);
-        TrackGeometry {
-            lateral: cross.abs(),
-            side: if cross > 0.0 {
-                1
-            } else if cross < 0.0 {
-                -1
-            } else {
-                0
-            },
-            time_of_cpa: along / self.speed_mps(),
-        }
+        TrackGeometry::of_line(
+            self.start,
+            Vec2::from_heading(self.heading),
+            self.speed_mps(),
+            point,
+        )
     }
 }
 
@@ -135,6 +126,27 @@ pub struct TrackGeometry {
     pub side: i8,
     /// Time (s, from scenario start) at which the ship passes closest.
     pub time_of_cpa: f64,
+}
+
+impl TrackGeometry {
+    /// Geometry of `point` relative to the line sailed from `start` along
+    /// the unit vector `heading` at `speed` m/s.
+    pub(crate) fn of_line(start: Vec2, heading: Vec2, speed: f64, point: Vec2) -> Self {
+        let rel = point - start;
+        let along = rel.dot(heading);
+        let cross = heading.cross(rel);
+        TrackGeometry {
+            lateral: cross.abs(),
+            side: if cross > 0.0 {
+                1
+            } else if cross < 0.0 {
+                -1
+            } else {
+                0
+            },
+            time_of_cpa: along / speed,
+        }
+    }
 }
 
 #[cfg(test)]

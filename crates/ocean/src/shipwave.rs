@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dispersion::depth_froude_number;
-use crate::kelvin::{cusp_arrival_delay, divergent_wave_omega, wave_propagation_speed};
+use crate::kelvin::{divergent_wave_omega, kelvin_half_angle, wave_propagation_speed};
 use crate::units::GRAVITY;
 
 /// Tunable physical parameters of the ship-wave model.
@@ -154,16 +154,73 @@ impl ShipWaveModel {
     ///
     /// # Panics
     ///
-    /// Panics if `speed` or `lateral` is not positive.
+    /// Panics if `speed` or `lateral` is not positive, or if this model's
+    /// `water_depth` or `reference_distance` is not positive.
     pub fn wave_train(&self, speed: f64, lateral: f64) -> WaveTrain {
-        assert!(speed > 0.0, "ship speed must be positive");
+        let constants = TrainConstants::new(self, speed);
         assert!(lateral > 0.0, "lateral distance must be positive");
+        constants.train(self, lateral)
+    }
+}
+
+/// The terms of a [`WaveTrain`] that depend only on the ship's speed and
+/// the [`ShipWaveModel`], not on where the train is observed. A scene
+/// computes them once per ship; each has the expression
+/// [`ShipWaveModel::wave_train`] is defined by, so a train built from them
+/// is bit-identical to one built from scratch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TrainConstants {
+    /// `V·tan α`: the lateral rate at which the cusp locus sweeps outward,
+    /// so the arrival delay at `d` is `d / cusp_speed`.
+    cusp_speed: f64,
+    /// The eq. 1 coefficient `c`.
+    height_parameter: f64,
+    /// Transverse-wave height (m) at the reference distance.
+    transverse_at_reference: f64,
+    /// Carrier angular frequency (rad/s): Froude number → eq. 2 → `g/Wv`.
+    omega: f64,
+}
+
+impl TrainConstants {
+    /// # Panics
+    ///
+    /// Panics if `speed` is not positive, or if `model`'s `water_depth` or
+    /// `reference_distance` is not positive.
+    pub(crate) fn new(model: &ShipWaveModel, speed: f64) -> Self {
+        assert!(speed > 0.0, "ship speed must be positive");
+        assert!(
+            model.reference_distance > 0.0,
+            "reference distance must be positive"
+        );
+        TrainConstants {
+            cusp_speed: speed * kelvin_half_angle().tan(),
+            height_parameter: model.height_parameter(speed),
+            transverse_at_reference: model.transverse_fraction
+                * model.divergent_height(speed, model.reference_distance),
+            omega: divergent_wave_omega(speed, model.froude(speed)),
+        }
+    }
+
+    /// The train at `lateral` metres with both heights left at zero. It
+    /// answers [`WaveTrain::is_active`] without the `powf` and `sqrt` the
+    /// heights cost; [`TrainConstants::train`] adds them.
+    pub(crate) fn window(&self, model: &ShipWaveModel, lateral: f64) -> WaveTrain {
         WaveTrain {
-            arrival_delay: cusp_arrival_delay(lateral, speed),
-            divergent_height: self.divergent_height(speed, lateral),
-            transverse_height: self.transverse_height(speed, lateral),
-            omega: divergent_wave_omega(speed, self.froude(speed)),
-            duration: self.duration(lateral),
+            arrival_delay: lateral / self.cusp_speed,
+            divergent_height: 0.0,
+            transverse_height: 0.0,
+            omega: self.omega,
+            duration: model.duration(lateral),
+        }
+    }
+
+    /// The full train at `lateral` metres (positive).
+    pub(crate) fn train(&self, model: &ShipWaveModel, lateral: f64) -> WaveTrain {
+        WaveTrain {
+            divergent_height: self.height_parameter * lateral.powf(-1.0 / 3.0),
+            transverse_height: self.transverse_at_reference
+                * (model.reference_distance / lateral).sqrt(),
+            ..self.window(model, lateral)
         }
     }
 }

@@ -48,7 +48,10 @@ obs-smoke:
 
 # Deterministic simulation-testing smoke (see DESIGN.md §11): four
 # seed slices through the sid-dst scenario generator, all invariant
-# oracles, zero violations expected.
+# oracles, zero violations expected. Each slice also pins its population
+# fingerprint with --expect-fingerprint, so a run whose journals drift
+# fails even with zero violations; a deliberate re-baseline changes the
+# pinned values here.
 # - 200 seeds from 1000: the general population. Failing seeds are shrunk
 #   and persisted to results/DST_failures.json; replay one with
 #   `cargo run --release -p sid-bench --bin dst -- --seed <n>`.
@@ -62,10 +65,10 @@ obs-smoke:
 #   Variant::Sharded reruns at K ∈ {2, 4} shards across pool widths plus
 #   the two sid-serve legs, one of them a checkpoint → migrate → resume).
 dst-smoke:
-    cargo run --release -p sid-bench --bin dst -- --seeds 200 --seed-start 1000
-    cargo run --release -p sid-bench --bin dst -- --seeds 40 --seed-start 2000 --no-write
-    cargo run --release -p sid-bench --bin dst -- --fleet --seeds 20 --seed-start 3000 --no-write
-    cargo run --release -p sid-bench --bin dst -- --seeds 24 --seed-start 4000 --no-write
+    cargo run --release -p sid-bench --bin dst -- --seeds 200 --seed-start 1000 --expect-fingerprint ffbaf8a999bd99a4
+    cargo run --release -p sid-bench --bin dst -- --seeds 40 --seed-start 2000 --no-write --expect-fingerprint d8fef60b3c32d1e8
+    cargo run --release -p sid-bench --bin dst -- --fleet --seeds 20 --seed-start 3000 --no-write --expect-fingerprint 6d6ff1804ddfde87
+    cargo run --release -p sid-bench --bin dst -- --seeds 24 --seed-start 4000 --no-write --expect-fingerprint 96c45f0d546f0fb6
 
 # Alerting-edge smoke (see DESIGN.md §13): the fixture alert storm must
 # ignite (suppressions + coalesced summaries + one rejected and one
