@@ -378,19 +378,6 @@ impl AlertEdge {
         self.sources.iter().map(|s| s.pending).sum()
     }
 
-    /// The earliest summary deadline among incidents with pending
-    /// suppressed repeats, if any. [`flush_due`](Self::flush_due) with a
-    /// `now` at or past this time will coalesce at least one summary;
-    /// before it, `flush_due` is a no-op. Event-driven drivers use this
-    /// to wake exactly at the next deadline instead of polling.
-    pub fn next_flush_at(&self) -> Option<f64> {
-        self.sources
-            .iter()
-            .filter(|s| s.pending > 0)
-            .map(|s| s.due_at)
-            .min_by(f64::total_cmp)
-    }
-
     /// Alerts evicted from the bounded outbox.
     pub fn evicted(&self) -> u64 {
         self.evicted

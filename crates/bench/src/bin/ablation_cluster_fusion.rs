@@ -51,7 +51,7 @@ fn main() {
         let sea = SeaState::synthesize(WaveSpectrum::sheltered_harbor(), 96, &mut rng);
         let scene = Scene::new(sea, ShipWaveModel::default());
         let mut system = IntrusionDetectionSystem::new(scene, config(), seed * 7);
-        system.run(duration);
+        system.run_events(duration);
         let t = system.trace();
         node_false += t.node_reports.len();
         formed += t.clusters_formed;
@@ -78,7 +78,7 @@ fn main() {
         Knots::new(10.0),
     ));
     let mut system = IntrusionDetectionSystem::new(scene, config(), 321);
-    system.run(400.0);
+    system.run_events(400.0);
     let ship_detections = system.trace().sink_detections.len();
     println!(
         "\nwith a genuine 10 kn intruder: {} sink detection(s) — fusion keeps the signal",

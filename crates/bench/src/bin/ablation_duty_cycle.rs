@@ -47,7 +47,7 @@ fn run(label: &str, duty: bool, with_ship: bool, seed: u64) -> Arm {
         ..SystemConfig::paper_default(6, 6)
     };
     let mut system = IntrusionDetectionSystem::new(scene(seed, with_ship), config, seed * 3 + 1);
-    system.run(900.0);
+    system.run_events(900.0);
     let t = system.trace();
     Arm {
         label: label.to_string(),

@@ -53,7 +53,7 @@ struct StormRun {
 fn run_storm(scenario: &Scenario, threads: usize) -> StormRun {
     let obs = Obs::in_memory();
     let mut sys = scenario.build(Sabotage::None, obs.clone(), threads);
-    sys.run(scenario.duration);
+    sys.run_events(scenario.duration);
     let events = obs.events().expect("in-memory recorder keeps events");
     let journal = render_journal(&events);
     StormRun {
@@ -64,6 +64,7 @@ fn run_storm(scenario: &Scenario, threads: usize) -> StormRun {
             counts: obs.counts(),
             wall: obs.wall(),
             trace: sys.trace().clone(),
+            energy_bits: sys.total_energy_mj().to_bits(),
             journal,
         },
         edge: sys.alert_edge().clone(),

@@ -89,7 +89,7 @@ fn run_cell(
         let scene = northbound_scene(seed, 37.0, 10.0, -300.0);
         let mut sys = IntrusionDetectionSystem::new(scene, cfg, seed ^ 0x5EA)
             .with_obs(obs.clone());
-        sys.run(duration);
+        sys.run_events(duration);
         if !sys.trace().sink_detections.is_empty() {
             detected += 1;
         }
@@ -105,7 +105,7 @@ fn run_cell(
         let mut calm =
             IntrusionDetectionSystem::new(quiet_scene(seed + 500), cfg, seed ^ 0xCA1)
                 .with_obs(obs.clone());
-        calm.run(duration);
+        calm.run_events(duration);
         if !calm.trace().sink_detections.is_empty() {
             false_alarms += 1;
         }

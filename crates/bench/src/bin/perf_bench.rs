@@ -158,7 +158,7 @@ fn main() {
         7 ^ 0x5EA,
     )
     .with_obs(observed.clone());
-    sys.run(30.0);
+    sys.run_events(30.0);
     if env_obs.enabled() {
         env_obs.replay(&observed.events().expect("in-memory recorder"));
     }

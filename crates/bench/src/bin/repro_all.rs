@@ -210,7 +210,7 @@ fn observability_pass(threads: usize) {
         7 ^ 0x5EA,
     )
     .with_obs(observed.clone());
-    ship.run(180.0);
+    ship.run_events(180.0);
     observed.record(Event::RunMarker {
         label: "repro_all observability pass: quiet".to_string(),
     });
@@ -220,7 +220,7 @@ fn observability_pass(threads: usize) {
         7 ^ 0xCA1,
     )
     .with_obs(observed.clone());
-    quiet.run(120.0);
+    quiet.run_events(120.0);
     // Classifier verdicts on synthetic windows: a narrowband swell
     // (ocean) and a two-tone ship-like signature.
     let cfg = ClassifierConfig::paper_default();

@@ -1,24 +1,24 @@
-//! Scheduler benchmark: the fixed-tick sweep vs. the event-driven
-//! scheduler on an idle-heavy surveillance field, written to
-//! `results/BENCH_sched.json`.
+//! Scheduler benchmark: the fixed-tick sweep vs. the event loop on an
+//! idle-heavy surveillance field, written to `results/BENCH_sched.json`.
 //!
 //! ```text
 //! cargo run --release -p sid-bench --bin sched_bench [-- --quick] [-- --threads N] [-- --check]
 //! ```
 //!
-//! The scenario is the event scheduler's home turf: a large duty-cycled
-//! grid where only a sparse sentinel lattice stays awake and the one
-//! intruder is still hours away. The tick sweep spends every tick
-//! visiting all N nodes (charging sleepers, re-checking batteries and
-//! duty leases); the event loop touches only the active set and keeps
-//! every deferred deadline in a heap. Both runs must produce
-//! byte-identical journals — the speedup is an optimization, never a
-//! semantic change (the `variant_equivalence` DST oracle enforces the
-//! same contract across random scenarios).
+//! The scenario is the event loop's home turf: a large duty-cycled grid
+//! where only a sparse sentinel lattice stays awake and the one intruder
+//! is still hours away. The tick sweep spends every tick visiting all N
+//! nodes (charging sleepers, re-checking batteries and duty leases); the
+//! event loop visits only the sampling set and the nodes that changed,
+//! and keeps resting nodes' revisits in a heap. Both runs must produce
+//! byte-identical journals, traces, clocks and total-energy bits — the
+//! speedup is an optimization, never a semantic change (the
+//! `variant_equivalence` DST oracle enforces the same contract across
+//! random scenarios).
 //!
 //! With `--check` the binary becomes a perf gate: it measures the quick
-//! configuration, asserts the journals match and exits non-zero unless
-//! the event loop beats the tick sweep by at least [`CHECK_FLOOR`]×.
+//! configuration, asserts the runs match and exits non-zero unless the
+//! event loop beats the tick sweep by at least [`CHECK_FLOOR`]×.
 //! Nothing is written in check mode.
 
 use std::time::Instant;
@@ -106,7 +106,8 @@ fn measure(quick: bool, threads: usize) -> SchedReport {
     let journals_identical = journal(&tick_obs) == journal(&event_obs)
         && tick_obs.counts() == event_obs.counts()
         && tick_sys.trace() == event_sys.trace()
-        && tick_sys.now().to_bits() == event_sys.now().to_bits();
+        && tick_sys.now().to_bits() == event_sys.now().to_bits()
+        && tick_sys.total_energy_mj().to_bits() == event_sys.total_energy_mj().to_bits();
 
     SchedReport {
         threads,

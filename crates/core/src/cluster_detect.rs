@@ -133,8 +133,7 @@ impl ClusterHead {
     /// When the collection window closes: [`is_expired`](Self::is_expired)
     /// is true exactly for `now >= expires_at()`. Fixed at formation (a
     /// failover keeps the original `formed_at`, a mid-window retune only
-    /// affects future clusters), so event-driven drivers can schedule the
-    /// close deadline once.
+    /// affects future clusters).
     pub fn expires_at(&self) -> f64 {
         self.formed_at + self.config.collection_window
     }

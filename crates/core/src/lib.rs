@@ -44,7 +44,7 @@
 //!
 //! | Subsystem | What it adds | Module / crate |
 //! |---|---|---|
-//! | event-driven scheduler | skips idle ticks, lazily charges sleepers; journal-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] |
+//! | event loop | runs the sweep's per-node steps over only the nodes that can change, revisits resting nodes from a `(time, node)` heap, lazily charges sleepers; journal-, trace- and battery-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] |
 //! | spectral front-end | real-input FFT, sliding STFT and Goertzel band power behind the eq. 7–8 / Fig. 6–7 classifiers (DESIGN.md §14) | `sid-dsp`, [`classify::SpectralClassifier`] |
 //! | streaming engine | push-based ingest of the eq. 4–8 detector with bounded rings and serde snapshot/restore (DESIGN.md §12) | `sid-stream` |
 //! | alerting edge | severity grading, token-bucket rate limiting and storm coalescing downstream of sink confirmation (DESIGN.md §13) | `sid-alert`, wired via `SystemConfig::alert` |
@@ -67,7 +67,7 @@
 //! scene.add_ship(Ship::new(Vec2::new(37.0, -150.0), Angle::from_degrees(90.0), Knots::new(10.0)));
 //!
 //! let mut system = IntrusionDetectionSystem::new(scene, SystemConfig::paper_default(4, 4), 7);
-//! system.run(30.0);
+//! system.run_events(30.0);
 //! assert!(system.now() >= 29.9);
 //! ```
 
@@ -111,19 +111,23 @@ pub use pipeline::{
 /// emphasizing its role as the drivable sensor → preprocess → node-detect →
 /// cluster → sink chain rather than the simulation it hosts.
 ///
-/// A pipeline has two drivers, and both produce byte-identical journals
-/// and traces:
+/// A pipeline has two drivers, and both produce byte-identical journals,
+/// traces and batteries:
 ///
-/// * [`Pipeline::run`], the tick sweep: every live node senses on every
-///   tick. It is the reference the event-driven driver is checked
-///   against.
-/// * [`Pipeline::run_events`], the event-driven scheduler: idle ticks
-///   cost one heap pop and sleepers are charged lazily (DESIGN.md §15).
+/// * [`Pipeline::run_events`], the production driver: each tick runs the
+///   sweep's per-node steps over only the nodes that can change — the
+///   sampling set, nodes touched since their last visit, and resting
+///   nodes whose revisit is due — and charges resting nodes' sleep
+///   lazily (DESIGN.md §15).
+/// * [`Pipeline::run`], the tick sweep: every node is visited on every
+///   tick. It is kept as the reference the event loop is checked
+///   against (the DST baseline, `sched_bench`, the property and unit
+///   tests).
 pub type Pipeline = IntrusionDetectionSystem;
 pub use preprocess::{preprocess_offline, Preprocessor};
 pub use report::{ClusterDetection, NodeReport, SidMessage};
 pub use retune::{DetectionRetune, RetuneError};
-pub use sched::{EventHeap, EventTime, SchedEvent};
+pub use sched::EventHeap;
 pub use sink::{Incident, IncidentState, SinkTracker, TrackerConfig};
 pub use speed::{SpeedEstimate, SpeedError};
 pub use threshold::AdaptiveThreshold;

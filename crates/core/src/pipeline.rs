@@ -28,8 +28,8 @@ use crate::cluster_detect::{ClusterHead, ClusterHeadConfig, PlacedReport};
 use crate::config::DetectorConfig;
 use crate::node_detect::NodeDetector;
 use crate::report::{ClusterDetection, NodeReport, SidMessage};
-use crate::retune::DetectionRetune;
-use crate::sched::{EventHeap, EventTime, SchedEvent};
+use crate::retune::{DetectionRetune, RetuneError};
+use crate::sched::EventHeap;
 use crate::sink::{SinkTracker, TrackerConfig};
 
 /// Full-system configuration.
@@ -309,13 +309,13 @@ pub struct IntrusionDetectionSystem {
     // All of it is inert under the tick loop: `event_mode` gates every
     // hook, so `run` pays one predictable branch per charge call.
     /// Whether `run_events` is driving (enables lazy sleep accounting
-    /// and dirty-tracking in the shared stage methods).
+    /// and touch tracking in the shared stage methods).
     event_mode: bool,
     /// Ticks completed since `run_events` entry (1-based within a run).
     tick_index: u64,
-    /// The tick through which sleeping nodes currently owe deferred
-    /// sleep charges: `tick_index - 1` before the current tick's
-    /// begin-sweep point, `tick_index` after it. Keeping this as an
+    /// The tick through which resting nodes currently owe deferred
+    /// sleep charges: `tick_index - 1` until the current tick's
+    /// sample-or-rest pass, `tick_index` after it. Keeping this as an
     /// explicit phase pointer lets [`Self::settle_sleep`] reproduce the
     /// eager loop's exact charge interleaving (sleep-then-tx within one
     /// tick differs bitwise from tx-then-sleep).
@@ -325,12 +325,9 @@ pub struct IntrusionDetectionSystem {
     /// Per node: in the event driver's sampling set (awake, powered, no
     /// outage). Nodes outside it are slept lazily.
     active: Vec<bool>,
-    /// Nodes whose battery was charged since the last depletion check;
-    /// the event driver checks exactly these instead of sweeping all.
-    energy_dirty: Vec<usize>,
-    /// Nodes whose `wake_until` an invite extended this tick while they
-    /// slept; the event driver turns each into a next-tick `DutyWake`.
-    wake_dirty: Vec<usize>,
+    /// Nodes charged or hit by a fault since their last visit; the
+    /// event driver visits each on the next tick's steps.
+    touched: Vec<usize>,
     /// Region sharding ([`Self::with_shards`]): `None` runs unsharded.
     /// With K > 1 shards, Phase A sensing fans out by spatial shard and
     /// the network's delivery queue is partitioned into K destination
@@ -441,8 +438,7 @@ impl IntrusionDetectionSystem {
             sleep_cutoff: 0,
             sleep_accounted: Vec::new(),
             active: Vec::new(),
-            energy_dirty: Vec::new(),
-            wake_dirty: Vec::new(),
+            touched: Vec::new(),
             shard_map: None,
         }
     }
@@ -691,15 +687,12 @@ impl IntrusionDetectionSystem {
                     }
                     // "Upon a positive detection is made, sleeping nodes
                     // should be activated": an invite wakes the member.
+                    // (The rx charge above touched the member, so the
+                    // event driver visits it on the next tick, exactly
+                    // when the eager sweep first sees `wake_until > now`.)
                     self.wake_until[d.to.index()] = self
                         .wake_until[d.to.index()]
                         .max(self.now + self.config.duty_cycle.wake_duration);
-                    if self.event_mode && !self.active[d.to.index()] {
-                        // A sleeping member was woken: the event driver
-                        // activates it at the next tick, exactly when the
-                        // eager sweep would first see `wake_until > now`.
-                        self.wake_dirty.push(d.to.index());
-                    }
                 }
                 SidMessage::Report(report) => {
                     match self.clusters.iter().position(|c| c.head.head() == d.to) {
@@ -789,12 +782,12 @@ impl IntrusionDetectionSystem {
         }
     }
 
-    /// Remembers that node `idx`'s battery changed, so the event driver's
-    /// next depletion check covers it (the eager loop sweeps every node
-    /// every tick and needs no memory).
-    fn note_energy_dirty(&mut self, idx: usize) {
+    /// Remembers that node `idx` changed, so the event driver visits it
+    /// on the next tick's steps (the eager loop sweeps every node every
+    /// tick and needs no memory).
+    fn touch(&mut self, idx: usize) {
         if self.event_mode {
-            self.energy_dirty.push(idx);
+            self.touched.push(idx);
         }
     }
 
@@ -803,14 +796,14 @@ impl IntrusionDetectionSystem {
     fn charge_tx_at(&mut self, idx: usize, bytes: usize) {
         self.settle_sleep(idx);
         self.nodes[idx].energy_mut().charge_tx(bytes);
-        self.note_energy_dirty(idx);
+        self.touch(idx);
     }
 
     /// Charges node `idx` for receiving `bytes` (see [`Self::charge_tx_at`]).
     fn charge_rx_at(&mut self, idx: usize, bytes: usize) {
         self.settle_sleep(idx);
         self.nodes[idx].energy_mut().charge_rx(bytes);
-        self.note_energy_dirty(idx);
+        self.touch(idx);
     }
 
     /// Exhausts node `idx`'s battery (scheduled death), settling deferred
@@ -819,7 +812,7 @@ impl IntrusionDetectionSystem {
     fn exhaust_at(&mut self, idx: usize) {
         self.settle_sleep(idx);
         self.nodes[idx].energy_mut().exhaust();
-        self.note_energy_dirty(idx);
+        self.touch(idx);
     }
 
     /// The per-node depletion check both drivers share: a node whose
@@ -1150,17 +1143,31 @@ impl IntrusionDetectionSystem {
     /// Schedules a detection hot reload for the first tick at or past
     /// simulated time `at`. Validation happens at application time,
     /// against the configuration live at that moment; a failure is
-    /// journaled and skipped, never fatal.
-    pub fn schedule_retune(&mut self, at: f64, retune: DetectionRetune) {
+    /// journaled and skipped, never fatal. `at = f64::NEG_INFINITY`
+    /// applies at the next tick; `at = f64::INFINITY` never applies and
+    /// stays pending.
+    ///
+    /// # Errors
+    ///
+    /// [`RetuneError::NanTime`] if `at` is NaN; the queue is left
+    /// untouched (a NaN time would sort ahead of every other retune and
+    /// never come due, wedging the queue behind it).
+    pub fn schedule_retune(&mut self, at: f64, retune: DetectionRetune) -> Result<(), RetuneError> {
+        if at.is_nan() {
+            return Err(RetuneError::NanTime);
+        }
         let pos = self.retunes.partition_point(|&(t, _)| t <= at);
         self.retunes.insert(pos, (at, retune));
+        Ok(())
     }
 
     /// Requests a detection hot reload at the next tick boundary (the
     /// live-operations entry point; [`Self::schedule_retune`] is the
     /// scripted one).
     pub fn request_retune(&mut self, retune: DetectionRetune) {
-        self.schedule_retune(self.now, retune);
+        // Cannot be rejected: the clock starts at zero and only advances
+        // by whole positive ticks, so it is never NaN.
+        let _ = self.schedule_retune(self.now, retune);
     }
 
     /// Scheduled retunes not yet applied, in due order.
@@ -1372,9 +1379,12 @@ impl IntrusionDetectionSystem {
     ///   accelerometer and detector in node order, consuming the shared RNG
     ///   exactly as the original single-loop implementation did.
     ///
-    /// This tick sweep is the reference driver:
-    /// [`run_events`](Self::run_events) must reproduce its journal and
-    /// trace byte-for-byte.
+    /// This tick sweep is the reference driver, not the production one:
+    /// [`run_events`](Self::run_events) must reproduce its journal,
+    /// trace and batteries byte-for-byte. It stays public for that role
+    /// — the DST baseline, `sched_bench`, the `prop_sched` property tests
+    /// and the unit tests compare against it — and every production
+    /// caller drives [`run_events`](Self::run_events).
     pub fn run(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let mut sampling: Vec<usize> = Vec::with_capacity(self.nodes.len());
@@ -1411,7 +1421,7 @@ impl IntrusionDetectionSystem {
     /// either.
     ///
     /// [`EnergyBudget::sleep_ticks_until_depletion`]: sid_sensor::EnergyBudget::sleep_ticks_until_depletion
-    fn schedule_battery_check(&self, heap: &mut EventHeap, idx: usize, steps: u64) {
+    fn schedule_battery_check(&self, revisits: &mut EventHeap, idx: usize, steps: u64) {
         let k = self.nodes[idx]
             .energy()
             .sleep_ticks_until_depletion(self.tick_dt());
@@ -1423,46 +1433,42 @@ impl IntrusionDetectionSystem {
             return;
         }
         let when = self.now + (check_tick - self.tick_index) as f64 * self.tick_dt();
-        heap.schedule(
-            EventTime::Absolute(when),
-            self.now,
-            SchedEvent::BatteryCheck(idx),
-        );
+        revisits.schedule(when, idx);
     }
 
-    /// Advances the simulation by `duration` seconds on the event-driven
-    /// scheduler instead of the fixed-tick sweep.
+    /// Arms resting node `idx`'s own revisits: its outage end, if it is
+    /// in an outage, and its battery forecast.
+    fn arm_revisits(&self, revisits: &mut EventHeap, idx: usize, steps: u64) {
+        if let Some(t) = self.outage_until[idx] {
+            revisits.schedule(t, idx);
+        }
+        self.schedule_battery_check(revisits, idx, steps);
+    }
+
+    /// Whether live node `idx` rests this tick instead of sampling: it is
+    /// in an outage, or asleep under duty cycling.
+    fn rests(&self, idx: usize) -> bool {
+        self.outage_until[idx].is_some_and(|t| t > self.now) || !self.is_awake(idx)
+    }
+
+    /// Advances the simulation by `duration` seconds, running the sweep's
+    /// own per-node steps over only the nodes whose state can change.
+    /// This is the production driver.
     ///
     /// Semantics are bit-for-bit identical to [`run`](Self::run): same
     /// journal, same trace, same clock, same per-node energy — the DST
     /// `variant_equivalence` oracle enforces it on fuzzed scenarios.
-    /// The difference is purely mechanical. `run` touches all N nodes
-    /// every tick; this driver keeps a sorted active set plus a
-    /// time-ordered [`EventHeap`] of typed wake-ups ([`SchedEvent`]) and
-    /// does per-tick work proportional to what is actually due:
-    ///
-    /// * Sleeping, failed, and outage nodes schedule no per-tick work.
-    ///   Their deterministic sleep drain is deferred and settled
-    ///   bit-identically on demand (`settle_sleep`), and their battery
-    ///   depletions are forecast conservatively via `BatteryCheck`
-    ///   events (`schedule_battery_check`).
-    /// * The network's delivery queue feeds `RadioDelivery` events
-    ///   instead of being polled every tick; fault injections, duty
-    ///   lease expiries, invite wake-ups, outage ends, cluster window
-    ///   deadlines, alert summary flushes, and retunes arrive as heap
-    ///   events the same way.
-    /// * A tick where nothing samples and nothing is due advances the
-    ///   clock — the same single `now + dt` addition the eager loop
-    ///   performs, so the accumulated float clock stays bit-identical —
-    ///   and does nothing else.
-    ///
-    /// Equal-timestamp events pop in heap insertion order, but no
-    /// behavior hangs off that: due events are drained into per-kind
-    /// buckets and each bucket is processed in ascending node order,
-    /// mirroring the eager loop's index-ordered sweeps. Awake nodes keep
-    /// the exact Phase A/B split of [`run`](Self::run), so the shared
-    /// RNG is
-    /// consumed in the same order and the journal stays byte-identical.
+    /// Each tick runs the sweep's steps — due faults, the depletion
+    /// check, outage recovery, the sample-or-rest decision, then sensing,
+    /// detection, deliveries and cluster closes — in ascending node order
+    /// over a *visit set*: last tick's sampling nodes, the nodes touched
+    /// since their last visit (charged by the radio or hit by a fault),
+    /// and resting nodes whose own revisit is due (an [`EventHeap`] of
+    /// outage ends and battery forecasts). A node outside that set rests
+    /// with nothing due, so each sweep step would leave it unchanged
+    /// except for its sleep charge, which is deferred and settled
+    /// bit-identically on demand (`settle_sleep`) and at exit. Any
+    /// superset of the needed nodes is therefore exact.
     pub fn run_events(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let dt = self.tick_dt();
@@ -1472,7 +1478,8 @@ impl IntrusionDetectionSystem {
             return;
         }
 
-        // --- Enter event mode: derive the active set, prime the heap. ---
+        // --- Entry: awake nodes seed the sampling set; every resting
+        // node arms its own revisits. ---
         self.event_mode = true;
         self.tick_index = 0;
         self.sleep_cutoff = 0;
@@ -1480,349 +1487,119 @@ impl IntrusionDetectionSystem {
         self.sleep_accounted.resize(n, 0);
         self.active.clear();
         self.active.resize(n, false);
-        self.energy_dirty.clear();
-        self.wake_dirty.clear();
-
-        let duty = self.config.duty_cycle.enabled;
-        let mut heap = EventHeap::new();
-        let mut active_list: Vec<usize> = Vec::with_capacity(n);
+        self.touched.clear();
+        let mut revisits = EventHeap::new();
+        let mut sampling: Vec<usize> = Vec::with_capacity(n);
         for idx in 0..n {
             if self.failed[idx] {
                 continue;
             }
-            let in_outage = self.outage_until[idx].is_some_and(|t| t > self.now);
-            if !in_outage && self.is_awake(idx) {
-                self.active[idx] = true;
-                active_list.push(idx);
-                if duty && !self.sentinel[idx] {
-                    heap.schedule(
-                        EventTime::Absolute(self.wake_until[idx]),
-                        self.now,
-                        SchedEvent::DutySleep(idx),
-                    );
-                }
+            if self.rests(idx) {
+                // The sweep marks it asleep on the first tick it rests.
+                self.was_asleep[idx] = true;
+                self.arm_revisits(&mut revisits, idx, steps);
             } else {
-                if let Some(t) = self.outage_until[idx] {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::OutageEnd(idx));
-                }
-                self.schedule_battery_check(&mut heap, idx, steps);
+                self.active[idx] = true;
+                sampling.push(idx);
             }
         }
-        let mut fault_marker = self.fault_plan.next_time();
-        if let Some(t) = fault_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::FaultDue);
-        }
-        for &(t, _) in &self.retunes {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::RetuneAt);
-        }
-        let mut delivery_marker = self.network.next_arrival();
-        if let Some(t) = delivery_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::RadioDelivery);
-        }
-        let mut cluster_marker = self
-            .clusters
-            .iter()
-            .map(|c| c.head.expires_at())
-            .min_by(f64::total_cmp);
-        if let Some(t) = cluster_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::ClusterDeadline);
-        }
-        let mut alert_marker = self.alert.next_flush_at();
-        if let Some(t) = alert_marker {
-            heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::AlertFlush);
-        }
-
-        // Per-tick scratch, hoisted so the loop allocates nothing.
-        let mut dirty_scratch: Vec<usize> = Vec::new();
-        let mut battery_due: Vec<usize> = Vec::new();
-        let mut outage_due: Vec<usize> = Vec::new();
-        let mut sleep_due: Vec<usize> = Vec::new();
-        let mut wake_due: Vec<usize> = Vec::new();
-        let mut slept_now: Vec<usize> = Vec::new();
-        let mut newly_active: Vec<usize> = Vec::new();
+        let mut visit: Vec<usize> = Vec::with_capacity(n);
+        let mut resting: Vec<usize> = Vec::new();
 
         for _ in 0..steps {
-            // The skip decision uses the exact clock value this tick
-            // would carry: `now + dt` is the same single addition the
-            // eager loop performs, so "due at this tick" is the
-            // identical float comparison either way.
-            let next_now = self.now + dt;
-            if active_list.is_empty() && !heap.next_time().is_some_and(|t| t <= next_now) {
-                // Idle tick: nothing samples, nothing is due. The eager
-                // loop would only advance the clock and charge sleep
-                // (deferred here), so skip all per-node work.
-                self.now = next_now;
-                self.tick_index += 1;
-                self.sleep_cutoff = self.tick_index;
-                continue;
-            }
-            self.now = next_now;
+            self.now += dt;
             self.tick_index += 1;
-            // Until this tick's begin-sweep point, sleepers owe deferred
-            // charges only through the previous tick (the eager sweep
-            // charges a tick's sleep after its fault phase).
+            // Until the sample-or-rest pass, resting nodes owe sleep only
+            // through the previous tick (the sweep charges a tick's sleep
+            // after its fault phase).
             self.sleep_cutoff = self.tick_index - 1;
-            let mut membership_dirty = false;
-
-            // Drain due events into per-kind buckets; node-scoped kinds
-            // are processed in ascending index order below, mirroring
-            // the eager sweeps regardless of heap pop order.
-            battery_due.clear();
-            outage_due.clear();
-            sleep_due.clear();
-            wake_due.clear();
-            slept_now.clear();
-            while let Some((_, ev)) = heap.pop_due(self.now) {
-                match ev {
-                    SchedEvent::DutyWake(idx) => wake_due.push(idx),
-                    SchedEvent::DutySleep(idx) => sleep_due.push(idx),
-                    SchedEvent::OutageEnd(idx) => outage_due.push(idx),
-                    SchedEvent::BatteryCheck(idx) => battery_due.push(idx),
-                    SchedEvent::FaultDue => fault_marker = None,
-                    SchedEvent::RadioDelivery => delivery_marker = None,
-                    SchedEvent::ClusterDeadline => cluster_marker = None,
-                    SchedEvent::AlertFlush => alert_marker = None,
-                    // Retunes consult `self.retunes` directly below.
-                    SchedEvent::RetuneAt => {}
-                }
-            }
-
             self.apply_due_retunes();
-
             {
                 let _t = if self.obs_enabled {
                     self.obs.span(Stage::Faults)
                 } else {
                     None
                 };
-                // (a) Due scheduled faults, in plan order — the same
-                // order `apply_due_faults` applies them.
-                if self.fault_plan.next_time().is_some_and(|t| t <= self.now) {
-                    let due: Vec<FaultEvent> = self.fault_plan.take_due(self.now).to_vec();
-                    for event in due {
-                        let idx = event.node as usize;
-                        let is_outage = matches!(event.kind, FaultKind::Outage { .. });
-                        self.apply_fault(event);
-                        if is_outage && idx < n && self.outage_until[idx].is_some() {
-                            // Zero-length outages recover this very
-                            // tick: route through the recovery bucket.
-                            outage_due.push(idx);
-                            if let Some(t) = self.outage_until[idx] {
-                                heap.schedule(
-                                    EventTime::Absolute(t),
-                                    self.now,
-                                    SchedEvent::OutageEnd(idx),
-                                );
-                            }
-                            if self.active[idx] {
-                                // Drops into outage-sleep: its first
-                                // deferred sleep charge is this tick's,
-                                // exactly when the eager sweep would
-                                // charge it.
-                                self.active[idx] = false;
-                                self.sleep_accounted[idx] = self.tick_index - 1;
-                                slept_now.push(idx);
-                                membership_dirty = true;
-                            }
-                        }
+                let due: Vec<FaultEvent> = self.fault_plan.take_due(self.now).to_vec();
+                for event in due {
+                    let idx = event.node as usize;
+                    self.apply_fault(event);
+                    if idx < n {
+                        self.touched.push(idx);
                     }
                 }
-                // (b) Depletion checks over exactly the nodes whose
-                // battery changed since the last check, ascending — the
-                // eager loop sweeps all nodes, but only charged ones can
-                // newly deplete.
-                dirty_scratch.clear();
-                dirty_scratch.append(&mut self.energy_dirty);
-                dirty_scratch.extend_from_slice(&battery_due);
-                dirty_scratch.sort_unstable();
-                dirty_scratch.dedup();
-                for &idx in &dirty_scratch {
-                    let was_active = self.active[idx];
+                visit.clear();
+                visit.extend_from_slice(&sampling);
+                visit.append(&mut self.touched);
+                while let Some((_, idx)) = revisits.pop_due(self.now) {
+                    visit.push(idx);
+                }
+                visit.sort_unstable();
+                visit.dedup();
+                let mut i = 0;
+                while i < visit.len() {
+                    let idx = visit[i];
+                    let was_failed = self.failed[idx];
                     self.check_depletion(idx);
-                    if self.failed[idx] {
-                        if was_active {
-                            self.active[idx] = false;
-                            membership_dirty = true;
-                        }
-                    } else if !self.active[idx] {
-                        // Still sleeping: re-arm its depletion forecast
-                        // (an rx charge may have shortened it).
-                        self.schedule_battery_check(&mut heap, idx, steps);
+                    if self.failed[idx] && !was_failed {
+                        // Its failover may have charged members' re-sends;
+                        // the sweep checks those later in node order in
+                        // this same pass.
+                        visit.extend(self.touched.iter().copied().filter(|&m| m > idx));
+                        visit[i + 1..].sort_unstable();
+                        visit.dedup();
                     }
+                    i += 1;
                 }
-                // (c) Outage recoveries, ascending.
-                outage_due.sort_unstable();
-                outage_due.dedup();
-                for &idx in &outage_due {
+                for &idx in &visit {
                     self.recover_outage(idx);
-                    if !self.failed[idx]
-                        && self.outage_until[idx].is_none()
-                        && !self.active[idx]
-                        && self.is_awake(idx)
-                    {
-                        // Back to sampling this very tick. Settle before
-                        // activating: settlement only applies to
-                        // inactive nodes.
-                        self.settle_sleep(idx);
-                        self.active[idx] = true;
-                        newly_active.push(idx);
-                        membership_dirty = true;
-                        if duty && !self.sentinel[idx] {
-                            heap.schedule(
-                                EventTime::Absolute(self.wake_until[idx]),
-                                self.now,
-                                SchedEvent::DutySleep(idx),
-                            );
-                        }
+                }
+            }
+
+            // The sweep's sample-or-rest branch, in node order.
+            sampling.clear();
+            resting.clear();
+            for &idx in &visit {
+                if self.failed[idx] {
+                    self.active[idx] = false;
+                } else if self.rests(idx) {
+                    if self.active[idx] {
+                        // Owes this tick's sleep charge, exactly when the
+                        // sweep would make it.
+                        self.active[idx] = false;
+                        self.sleep_accounted[idx] = self.tick_index - 1;
                     }
-                }
-            }
-
-            // (d) Duty transitions at the begin-sweep point.
-            sleep_due.sort_unstable();
-            sleep_due.dedup();
-            for &idx in &sleep_due {
-                if self.failed[idx] || !self.active[idx] || !duty || self.sentinel[idx] {
-                    continue;
-                }
-                if self.wake_until[idx] > self.now {
-                    // The lease was extended after this event was
-                    // scheduled: lazy deletion, re-arm at the new end.
-                    heap.schedule(
-                        EventTime::Absolute(self.wake_until[idx]),
-                        self.now,
-                        SchedEvent::DutySleep(idx),
-                    );
-                    continue;
-                }
-                self.active[idx] = false;
-                self.was_asleep[idx] = true;
-                self.sleep_accounted[idx] = self.tick_index - 1;
-                slept_now.push(idx);
-                membership_dirty = true;
-            }
-            wake_due.sort_unstable();
-            wake_due.dedup();
-            for &idx in &wake_due {
-                if self.failed[idx]
-                    || self.active[idx]
-                    || self.outage_until[idx].is_some_and(|t| t > self.now)
-                    || !self.is_awake(idx)
-                {
-                    // Already up, still in an outage (recovery will
-                    // re-evaluate wakefulness), or the lease already
-                    // lapsed: stale event, drop it.
-                    continue;
-                }
-                self.settle_sleep(idx);
-                self.active[idx] = true;
-                newly_active.push(idx);
-                membership_dirty = true;
-                if duty && !self.sentinel[idx] {
-                    heap.schedule(
-                        EventTime::Absolute(self.wake_until[idx]),
-                        self.now,
-                        SchedEvent::DutySleep(idx),
-                    );
-                }
-            }
-
-            // Membership sync: the sorted active list becomes exactly
-            // the sampling list the eager sweep would have built.
-            if membership_dirty {
-                active_list.retain(|&i| self.active[i]);
-                newly_active.sort_unstable();
-                newly_active.dedup();
-                for &idx in &newly_active {
-                    if let Err(pos) = active_list.binary_search(&idx) {
-                        active_list.insert(pos, idx);
+                    self.was_asleep[idx] = true;
+                    resting.push(idx);
+                } else {
+                    // Settle before activating: settlement only applies
+                    // to inactive nodes.
+                    self.settle_sleep(idx);
+                    self.active[idx] = true;
+                    if self.was_asleep[idx] {
+                        // Same expression as the sweep, including its
+                        // lack of a sentinel boost on recalibration.
+                        self.detectors[idx] =
+                            NodeDetector::new(NodeId::from(idx), self.config.detector);
+                        self.was_asleep[idx] = false;
                     }
+                    sampling.push(idx);
                 }
-                newly_active.clear();
             }
-
-            // Begin-sweep point passed: sleepers owe this tick's charge.
+            // Sample-or-rest point passed: resting nodes owe this tick's
+            // charge.
             self.sleep_cutoff = self.tick_index;
 
-            // Phase A part 1: recalibrate woken detectors in node order
-            // (same expression as the eager sweep, including its lack of
-            // a sentinel boost on recalibration).
-            for &idx in &active_list {
-                if self.was_asleep[idx] {
-                    self.detectors[idx] =
-                        NodeDetector::new(NodeId::from(idx), self.config.detector);
-                    self.was_asleep[idx] = false;
-                }
-            }
-
-            // Phase A part 2 + Phase B + deliveries + clusters + alerts:
-            // the exact seam `run` uses, on the active set.
             let sense_span = if self.obs_enabled {
                 self.obs.span(Stage::PhaseASense)
             } else {
                 None
             };
-            let envs = self.sense_all(&active_list);
+            let envs = self.sense_all(&sampling);
             drop(sense_span);
-            self.finish_tick(&active_list, &envs);
-
-            // --- Re-arm time-driven wake-ups. ---
-            for &idx in &slept_now {
-                if !self.failed[idx] && !self.active[idx] {
-                    self.schedule_battery_check(&mut heap, idx, steps);
-                }
-            }
-            // Sampling nodes burned energy this tick: next tick's
-            // depletion check covers them like the eager sweep would.
-            self.energy_dirty.extend_from_slice(&active_list);
-            if active_list.is_empty() && !self.energy_dirty.is_empty() {
-                // Nothing else will force the next tick: let the
-                // pending depletion checks do it.
-                let idx = self.energy_dirty[0];
-                heap.schedule(EventTime::Delta(dt), self.now, SchedEvent::BatteryCheck(idx));
-            }
-            if !self.wake_dirty.is_empty() {
-                // Invites recorded during deliveries: each sleeping
-                // recipient starts sampling at the next tick, when the
-                // eager sweep first sees `wake_until > now`.
-                self.wake_dirty.sort_unstable();
-                self.wake_dirty.dedup();
-                for i in 0..self.wake_dirty.len() {
-                    let idx = self.wake_dirty[i];
-                    if !self.failed[idx] && !self.active[idx] {
-                        heap.schedule(EventTime::Delta(dt), self.now, SchedEvent::DutyWake(idx));
-                    }
-                }
-                self.wake_dirty.clear();
-            }
-            if let Some(t) = self.network.next_arrival() {
-                if delivery_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::RadioDelivery);
-                    delivery_marker = Some(t);
-                }
-            }
-            let next_close = self
-                .clusters
-                .iter()
-                .map(|c| c.head.expires_at())
-                .min_by(f64::total_cmp);
-            if let Some(t) = next_close {
-                if cluster_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::ClusterDeadline);
-                    cluster_marker = Some(t);
-                }
-            }
-            if let Some(t) = self.alert.next_flush_at() {
-                if alert_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::AlertFlush);
-                    alert_marker = Some(t);
-                }
-            }
-            if let Some(t) = self.fault_plan.next_time() {
-                if fault_marker != Some(t) {
-                    heap.schedule(EventTime::Absolute(t), self.now, SchedEvent::FaultDue);
-                    fault_marker = Some(t);
-                }
+            self.finish_tick(&sampling, &envs);
+            for &idx in &resting {
+                self.arm_revisits(&mut revisits, idx, steps);
             }
         }
 
@@ -1855,8 +1632,7 @@ impl IntrusionDetectionSystem {
             self.sleep_accounted[idx] = self.sleep_cutoff;
         }
         self.event_mode = false;
-        self.energy_dirty.clear();
-        self.wake_dirty.clear();
+        self.touched.clear();
         self.trace.elapsed = self.now;
     }
 
@@ -2323,7 +2099,8 @@ mod tests {
                 af_threshold: Some(42.0),
                 ..DetectionRetune::default()
             },
-        );
+        )
+        .expect("finite retune time");
         // A valid tightening later.
         sys.schedule_retune(
             100.0,
@@ -2332,7 +2109,8 @@ mod tests {
                 m: Some(2.25),
                 ..DetectionRetune::default()
             },
-        );
+        )
+        .expect("finite retune time");
         sys.run(300.0);
         let trace = sys.trace();
         assert_eq!(trace.retunes_applied, 1);
@@ -2403,13 +2181,14 @@ mod tests {
         assert!(stats.delivered > 0);
     }
 
-    /// Runs the same scenario under the tick sweep and the event-driven
-    /// scheduler and asserts bit-identity: journal, counts, trace, the
-    /// accumulated clock, and every node's battery, down to the float
-    /// bits.
+    /// Runs the same scenario under the tick sweep (one call) and the
+    /// event loop (`chunks` equal calls) and asserts bit-identity:
+    /// journal, counts, trace, the accumulated clock, every node's
+    /// battery down to the float bits, and every failure flag.
     fn assert_scheduler_equivalent(
         mk: impl Fn() -> IntrusionDetectionSystem,
         duration: f64,
+        chunks: usize,
         label: &str,
     ) {
         let obs_a = sid_obs::Obs::in_memory();
@@ -2417,7 +2196,9 @@ mod tests {
         a.run(duration);
         let obs_b = sid_obs::Obs::in_memory();
         let mut b = mk().with_obs(obs_b.clone());
-        b.run_events(duration);
+        for _ in 0..chunks {
+            b.run_events(duration / chunks as f64);
+        }
         assert_eq!(
             obs_a.events().expect("in-memory"),
             obs_b.events().expect("in-memory"),
@@ -2437,7 +2218,108 @@ mod tests {
                 "{label}: node {idx} energy diverges"
             );
         }
+        assert_eq!(a.failed, b.failed, "{label}: failure flags diverge");
         assert_eq!(a.net_stats(), b.net_stats(), "{label}: net stats diverge");
+    }
+
+    /// The 5×5 duty-cycled ship passage of `sleeping_nodes_wake_on_invite`
+    /// (invite wake-ups, lease expiries and extensions), with each node's
+    /// battery replaced by `capacity(idx, is_sentinel)` mJ where that
+    /// returns a value.
+    fn duty_grid_with_batteries(
+        capacity: impl Fn(usize, bool) -> Option<f64>,
+    ) -> IntrusionDetectionSystem {
+        let on = SystemConfig {
+            duty_cycle: DutyCycleConfig {
+                enabled: true,
+                wake_duration: 120.0,
+                ..DutyCycleConfig::default()
+            },
+            ..quiet_config()
+        };
+        let mut sys = IntrusionDetectionSystem::new(build_scene(21, true), on, 62);
+        for idx in 0..sys.nodes.len() {
+            if let Some(cap) = capacity(idx, sys.sentinel[idx]) {
+                let model = *sys.nodes[idx].energy().model();
+                *sys.nodes[idx].energy_mut() = EnergyBudget::new(model, cap);
+            }
+        }
+        sys
+    }
+
+    #[test]
+    fn event_loop_matches_tick_loop_when_sleepers_run_out() {
+        // Sleepers get 0.2–2.6 mJ: at 0.01 mJ/s of deep sleep most of
+        // them run out mid-run through sleep alone, which only the
+        // battery-forecast revisit can catch. One whole run, and the
+        // same run in 1 s calls.
+        let mk = || {
+            duty_grid_with_batteries(|idx, sentinel| (!sentinel).then_some(0.2 + 0.1 * idx as f64))
+        };
+        let mut probe = mk();
+        probe.run(300.0);
+        let ran_out = (0..25).filter(|&i| probe.is_failed(i)).count();
+        assert!(ran_out >= 10, "only {ran_out} sleepers ran out");
+        assert_scheduler_equivalent(mk, 300.0, 1, "sleepers run out");
+        assert_scheduler_equivalent(mk, 300.0, 300, "sleepers run out, 1 s calls");
+    }
+
+    #[test]
+    fn sampling_node_that_runs_out_at_a_call_boundary_stops_sampling() {
+        // Sentinels sample at 0.5 mJ/s, so 23–63 mJ run out 46–126 s in.
+        // Across these settings some sentinel's battery runs out on the
+        // last tick of a 1 s call; the next call must depletion-check it
+        // on its first tick, as the sweep does, instead of letting it
+        // sample once more.
+        for k in 0..20 {
+            let mk = || {
+                duty_grid_with_batteries(|idx, sentinel| {
+                    sentinel.then_some(23.0 + 2.0 * k as f64 + 0.3 * idx as f64)
+                })
+            };
+            assert_scheduler_equivalent(mk, 120.0, 120, &format!("sentinel battery setting {k}"));
+        }
+    }
+
+    #[test]
+    fn failover_resend_that_drains_a_resting_member_fails_it_the_same_tick() {
+        // Sentinel 2 heads an open window with two sleeping members:
+        // node 1 holds the fresher report and takes over, node 7
+        // re-sends its cached one. Node 2's battery runs out after a few
+        // samples; the failover's re-send then drains node 7, which the
+        // sweep depletion-checks later in that same pass. The event loop
+        // must power 7 off on the same tick, although 7 rests and was
+        // not in the tick's visit set when the pass began.
+        let mk = || {
+            let mut sys = duty_grid_with_batteries(|idx, _| match idx {
+                2 => Some(0.05),
+                7 => Some(0.5),
+                _ => None,
+            });
+            let head = NodeId::from(2);
+            sys.clusters.push(ActiveCluster {
+                head: ClusterHead::new(head, 0.0, sys.config.cluster),
+                degraded: false,
+            });
+            sys.current_head[2] = Some(head);
+            for (member, report_time) in [(1, 0.2), (7, 0.1)] {
+                sys.current_head[member] = Some(head);
+                sys.last_report[member] = Some(NodeReport {
+                    node: NodeId::from(member),
+                    onset_time: 0.0,
+                    peak_time: 0.0,
+                    report_time,
+                    anomaly_frequency: 0.5,
+                    energy: 1.0,
+                });
+            }
+            sys
+        };
+        let mut probe = mk();
+        probe.run(1.0);
+        assert_eq!(probe.trace().head_failovers, 1);
+        assert!(probe.is_failed(2) && probe.is_failed(7));
+        assert_scheduler_equivalent(mk, 1.0, 1, "failover drains a resting member");
     }
 
     #[test]
@@ -2445,6 +2327,7 @@ mod tests {
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(2, true), quiet_config(), 43),
             300.0,
+            1,
             "crossing ship",
         );
     }
@@ -2465,6 +2348,7 @@ mod tests {
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(21, true), on, 62),
             300.0,
+            1,
             "duty cycling",
         );
         // And a quiet duty-cycled sea: the idle-heavy case the event
@@ -2472,6 +2356,7 @@ mod tests {
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(20, false), on, 61),
             300.0,
+            1,
             "quiet duty cycling",
         );
     }
@@ -2500,6 +2385,7 @@ mod tests {
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(2, true), cfg, 43),
             300.0,
+            1,
             "chaos campaign",
         );
     }
@@ -2516,7 +2402,8 @@ mod tests {
                     af_threshold: Some(42.0),
                     ..DetectionRetune::default()
                 },
-            );
+            )
+            .expect("finite retune time");
             sys.schedule_retune(
                 100.0,
                 DetectionRetune {
@@ -2524,10 +2411,53 @@ mod tests {
                     m: Some(2.25),
                     ..DetectionRetune::default()
                 },
-            );
+            )
+            .expect("finite retune time");
             sys
         };
-        assert_scheduler_equivalent(mk, 300.0, "hot reload");
+        assert_scheduler_equivalent(mk, 300.0, 1, "hot reload");
+    }
+
+    #[test]
+    fn nan_retune_time_is_rejected_on_both_drivers() {
+        use crate::retune::DetectionRetune;
+        let tighten = DetectionRetune {
+            m: Some(2.25),
+            ..DetectionRetune::default()
+        };
+        let loosen = DetectionRetune {
+            m: Some(2.75),
+            ..DetectionRetune::default()
+        };
+        for events in [false, true] {
+            let mut sys =
+                IntrusionDetectionSystem::new(build_scene(1, false), quiet_config(), 42);
+            sys.schedule_retune(5.0, tighten).expect("finite retune time");
+            assert_eq!(
+                sys.schedule_retune(f64::NAN, loosen),
+                Err(RetuneError::NanTime)
+            );
+            assert_eq!(
+                sys.pending_retunes(),
+                &[(5.0, tighten)],
+                "a rejected retune leaves the queue untouched"
+            );
+            // +∞ never comes due; −∞ applies at the next tick.
+            sys.schedule_retune(f64::INFINITY, loosen)
+                .expect("+∞ means never");
+            sys.schedule_retune(f64::NEG_INFINITY, loosen)
+                .expect("−∞ means the next tick");
+            if events {
+                sys.run_events(20.0);
+            } else {
+                sys.run(20.0);
+            }
+            assert_eq!(sys.trace().retunes_applied, 2, "events={events}");
+            assert_eq!(sys.trace().retunes_rejected, 0, "events={events}");
+            assert_eq!(sys.pending_retunes(), &[(f64::INFINITY, loosen)]);
+            // −∞ loosened first, then the t = 5 s retune tightened.
+            assert_eq!(sys.detectors[3].config().m, 2.25, "events={events}");
+        }
     }
 
     #[test]
@@ -2556,7 +2486,7 @@ mod tests {
                 plan.clone(),
             )
         };
-        assert_scheduler_equivalent(mk, 120.0, "zero-duration outage");
+        assert_scheduler_equivalent(mk, 120.0, 1, "zero-duration outage");
     }
 
     #[test]

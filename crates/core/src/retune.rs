@@ -41,6 +41,8 @@ pub enum RetuneError {
     BadMergeWindow,
     /// `close_after` must be positive and finite.
     BadCloseAfter,
+    /// A retune was scheduled at a NaN time.
+    NanTime,
 }
 
 impl fmt::Display for RetuneError {
@@ -52,6 +54,7 @@ impl fmt::Display for RetuneError {
             RetuneError::ZeroQuorum => f.write_str("min_reports must be at least 1"),
             RetuneError::BadMergeWindow => f.write_str("merge_window must be positive"),
             RetuneError::BadCloseAfter => f.write_str("close_after must be positive"),
+            RetuneError::NanTime => f.write_str("retune time must not be NaN"),
         }
     }
 }

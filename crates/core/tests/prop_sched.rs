@@ -1,4 +1,4 @@
-//! Property tests for the discrete-event scheduler: the heap's ordering
+//! Property tests for the event loop: the revisit heap's ordering
 //! contract (time ascending, insertion order within equal times) holds
 //! for any insertion sequence, and the event-driven pipeline driver is
 //! byte-identical to the tick sweep on any worker-pool size.
@@ -7,52 +7,38 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sid_core::{
-    DutyCycleConfig, EventHeap, EventTime, IntrusionDetectionSystem, SchedEvent, SystemConfig,
-};
+use sid_core::{DutyCycleConfig, EventHeap, IntrusionDetectionSystem, SystemConfig};
 use sid_ocean::{Angle, Knots, Scene, SeaState, Ship, ShipWaveModel, Vec2, WaveSpectrum};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Popping drains events in time order; among equal timestamps, in
-    /// insertion order — for ANY mix of absolute/delta deadlines drawn
-    /// from a small set of times (so ties are frequent).
+    /// Popping drains revisits in time order; among equal timestamps, in
+    /// insertion order — for ANY insertion sequence drawn from a small
+    /// set of times (so ties are frequent).
     #[test]
     fn heap_pops_time_ordered_and_fifo_within_ties(
-        entries in prop::collection::vec((0u8..6, any::<bool>()), 1..64),
+        slots in prop::collection::vec(0u8..6, 1..64),
     ) {
         let mut heap = EventHeap::new();
-        let now = 1.0;
-        // Tag each event with its insertion index via the node payload.
-        let mut resolved: Vec<(f64, usize)> = Vec::new();
-        for (i, &(slot, absolute)) in entries.iter().enumerate() {
-            let t = f64::from(slot) * 0.5;
-            let when = if absolute {
-                EventTime::Absolute(now + t)
-            } else {
-                EventTime::Delta(t)
-            };
-            let at = heap.schedule(when, now, SchedEvent::DutyWake(i));
-            prop_assert_eq!(at.to_bits(), (now + t).to_bits());
-            resolved.push((at, i));
+        // Tag each revisit with its insertion index via the node payload.
+        let mut scheduled: Vec<(f64, usize)> = Vec::new();
+        for (i, &slot) in slots.iter().enumerate() {
+            let t = 1.0 + f64::from(slot) * 0.5;
+            heap.schedule(t, i);
+            scheduled.push((t, i));
         }
         // Expected order: stable sort by time — equal times keep
         // insertion order, which is exactly the documented contract.
-        let mut expected = resolved.clone();
+        let mut expected = scheduled.clone();
         expected.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut popped: Vec<(f64, usize)> = Vec::new();
-        while let Some((t, ev)) = heap.pop_due(f64::INFINITY) {
-            match ev {
-                SchedEvent::DutyWake(i) => popped.push((t, i)),
-                other => prop_assert!(false, "unexpected event {other:?}"),
-            }
-        }
+        let popped: Vec<(f64, usize)> =
+            std::iter::from_fn(|| heap.pop_due(f64::INFINITY)).collect();
         prop_assert_eq!(popped, expected);
         prop_assert!(heap.is_empty());
     }
 
-    /// Two heaps fed the same equal-timestamp events in different
+    /// Two heaps fed the same equal-timestamp revisits in different
     /// permutations each pop in *their own* insertion order — the order
     /// is a deterministic function of the insertion sequence, never of
     /// payload values or heap internals.
@@ -64,10 +50,10 @@ proptest! {
         let insert_all = |order: &[usize]| {
             let mut heap = EventHeap::new();
             for &id in order {
-                heap.schedule(EventTime::Absolute(7.0), 0.0, SchedEvent::DutyWake(id));
+                heap.schedule(7.0, id);
             }
             let mut out = Vec::new();
-            while let Some((t, SchedEvent::DutyWake(id))) = heap.pop_due(7.0) {
+            while let Some((t, id)) = heap.pop_due(7.0) {
                 prop_assert_eq!(t.to_bits(), 7.0f64.to_bits());
                 out.push(id);
             }
@@ -81,9 +67,9 @@ proptest! {
         prop_assert_eq!(insert_all(&rotated)?, rotated);
     }
 
-    /// A partial drain (`pop_due` with a finite `now`) never yields an
-    /// event past the deadline, and what remains pops later in the same
-    /// global order.
+    /// A partial drain (`pop_due` with a finite `now`) never yields a
+    /// revisit past the deadline, and what remains pops later in the
+    /// same global order.
     #[test]
     fn partial_drains_respect_the_deadline(
         entries in prop::collection::vec(0u8..10, 1..48),
@@ -91,11 +77,7 @@ proptest! {
     ) {
         let mut heap = EventHeap::new();
         for (i, &slot) in entries.iter().enumerate() {
-            heap.schedule(
-                EventTime::Absolute(f64::from(slot)),
-                0.0,
-                SchedEvent::DutyWake(i),
-            );
+            heap.schedule(f64::from(slot), i);
         }
         let deadline = f64::from(cut);
         let mut early = Vec::new();
@@ -153,10 +135,10 @@ fn event_loop_is_byte_identical_across_pool_sizes() {
             sys.run(90.0);
         }
         format!(
-            "{}|{}|{:.12e}|{}",
+            "{}|{}|{}|{}",
             serde_json::to_string(sys.trace()).expect("serialisable"),
             serde_json::to_string(&sys.net_stats()).expect("serialisable"),
-            sys.total_energy_mj(),
+            sys.total_energy_mj().to_bits(),
             sys.now().to_bits(),
         )
     };

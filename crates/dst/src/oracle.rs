@@ -23,7 +23,7 @@
 //! | `incident_ids_well_formed` | incident ids are allocated contiguously; duplicates reference known incidents |
 //! | `outage_lifecycle` | `NodeUp` only follows an unrecovered outage; no event resurrects a dead node |
 //! | `alert_suppression_correct` | an independent alert-edge replay reproduces every emit/suppress/coalesce/reload decision; no suppressed alert is lost without a matching summary record; token-bucket accounting is exact |
-//! | `variant_equivalence` | every rerun in `scenario.variants` — wider worker pools, the event-driven scheduler, spatial shards, and `sid-serve` two-advance and checkpoint/migrate/resume sessions — reproduces the baseline journal, stage counts and trace byte-for-byte (the serve legs: the journal fingerprint) |
+//! | `variant_equivalence` | every rerun in `scenario.variants` — wider worker pools, the event-driven scheduler, spatial shards, and `sid-serve` two-advance and checkpoint/migrate/resume sessions — reproduces the baseline journal, stage counts, trace and total-energy bits byte-for-byte (the serve legs: the journal fingerprint) |
 //! | `frontend_equivalence` | on `Variant::LegacyFrontEnd` scenarios, the default rfft/Goertzel/Parseval fast spectral front-end and the legacy full-complex path agree on a seed-derived stream: alarms bit-identical, window verdicts equal, wavelet observable within 0.05 |
 
 use sid_alert::{AlertEdge, AlertInput};
@@ -602,8 +602,8 @@ fn alert_suppression_correct(report: &RunReport, out: &mut Vec<Violation>) {
 /// scenario, so thread count, the event-driven scheduler, spatial
 /// sharding and `sid-serve` session chunking or migration are execution
 /// strategies, never semantic changes. The `variant` rerun must
-/// reproduce the baseline journal, stage counts and trace
-/// byte-for-byte; the serve legs expose only a journal
+/// reproduce the baseline journal, stage counts, trace and total-energy
+/// bits byte-for-byte; the serve legs expose only a journal
 /// fingerprint, and a failed serve call is itself a violation.
 fn variant_equivalence(report: &RunReport, variant: Variant, out: &mut Vec<Violation>) {
     let diverged = match execute_variant(&report.scenario, report.sabotage, variant) {
@@ -615,6 +615,12 @@ fn variant_equivalence(report: &RunReport, variant: Variant, out: &mut Vec<Viola
                 Some("stage counts diverged".to_string())
             } else if rerun.trace != report.trace {
                 Some("trace diverged".to_string())
+            } else if rerun.energy_bits != report.energy_bits {
+                Some(format!(
+                    "total energy diverged ({} vs {} mJ)",
+                    f64::from_bits(rerun.energy_bits),
+                    f64::from_bits(report.energy_bits)
+                ))
             } else {
                 None
             }

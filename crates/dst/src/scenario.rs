@@ -621,7 +621,10 @@ impl Scenario {
             sys = sys.with_sentinel_index_stride(f.sentinel_every);
         }
         for (at, retune) in self.retunes() {
-            sys.schedule_retune(at, retune);
+            // Retune times are fractions of the duration. Only a NaN
+            // duration makes one NaN, and it runs no ticks, so dropping
+            // the rejected retune changes nothing.
+            let _ = sys.schedule_retune(at, retune);
         }
         sys
     }
@@ -650,6 +653,9 @@ pub struct RunReport {
     pub wall: WallStats,
     /// The pipeline's own run trace.
     pub trace: SystemTrace,
+    /// Bit pattern of the fleet's total consumed energy (mJ): lazy sleep
+    /// accounting in the event loop must land on the sweep's exact sum.
+    pub energy_bits: u64,
     /// The canonical JSONL rendering of `events`.
     pub journal: String,
 }
@@ -671,7 +677,8 @@ pub fn execute(scenario: &Scenario, sabotage: Sabotage) -> RunReport {
 /// What a variant rerun produced, for comparison against the baseline.
 #[derive(Debug, Clone)]
 pub(crate) enum Rerun {
-    /// A full simulation report: journal, stage counts and trace.
+    /// A full simulation report: journal, stage counts, trace and
+    /// total-energy bits.
     Report(Box<RunReport>),
     /// The journal fingerprint only: `sid-serve` session recorders are
     /// private to their manager.
@@ -769,6 +776,7 @@ fn collect(
         counts: obs.counts(),
         wall: obs.wall(),
         trace: sys.trace().clone(),
+        energy_bits: sys.total_energy_mj().to_bits(),
         journal,
     }
 }

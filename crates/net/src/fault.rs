@@ -445,13 +445,6 @@ impl FaultPlan {
         self.events.len() - self.cursor
     }
 
-    /// The due time of the next untaken event, if any. Event-driven
-    /// drivers use this to wake exactly when the next injection is due
-    /// instead of polling [`take_due`](Self::take_due) every tick.
-    pub fn next_time(&self) -> Option<f64> {
-        self.events.get(self.cursor).map(|e| e.time)
-    }
-
     /// Whether the plan holds no events at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()

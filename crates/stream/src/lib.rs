@@ -17,8 +17,8 @@
 //! serializable [`EngineSnapshot`] and restores bit-identically.
 //!
 //! The engine ingests samples; it does not simulate the ocean. The
-//! simulated system is driven by `sid_core::Pipeline::run` (the tick
-//! sweep) or `run_events` (the event-driven scheduler).
+//! simulated system is driven by `sid_core::Pipeline::run_events` (the
+//! event loop) or `run` (the reference tick sweep).
 //!
 //! Benchmark: the `stream_ingest` workload of `e2e_bench` (see
 //! `e2e_bench/README.md`) measures sustained samples/sec and peak

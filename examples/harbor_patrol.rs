@@ -46,7 +46,7 @@ fn main() {
     let mut system = IntrusionDetectionSystem::new(scene, config, 99);
 
     println!("running 20 simulated minutes of harbor patrol (6×6 grid)…");
-    system.run(1200.0);
+    system.run_events(1200.0);
 
     let trace = system.trace();
     println!("\n=== run summary ===");

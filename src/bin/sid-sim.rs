@@ -149,7 +149,7 @@ fn main() -> ExitCode {
             if args.duty_cycle { ", duty-cycled" } else { "" }
         );
     }
-    system.run(args.duration);
+    system.run_events(args.duration);
 
     let trace = system.trace();
     if args.json {

@@ -41,7 +41,7 @@
 //!
 //! // A 5×5 grid of buoys at the paper's 25 m spacing.
 //! let mut system = IntrusionDetectionSystem::new(scene, SystemConfig::paper_default(5, 5), 7);
-//! system.run(10.0);
+//! system.run_events(10.0);
 //! assert!(system.now() > 9.9);
 //! ```
 //!
