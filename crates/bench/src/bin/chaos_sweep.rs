@@ -190,20 +190,16 @@ fn main() {
     let env_obs = Obs::from_env();
     let pool = sid_exec::global();
     pool.set_obs(env_obs.clone());
-    let timed: Vec<(Cell, Vec<Event>, StageCounts, f64)> =
-        pool.par_map(&grid, |&(d, s, base_seed)| {
-            let t = Instant::now();
-            let (cell, events, counts) = run_cell(d, s, trials, duration, base_seed);
-            (cell, events, counts, t.elapsed().as_secs_f64())
-        });
+    let runs: Vec<(Cell, Vec<Event>, StageCounts)> = pool.par_map(&grid, |&(d, s, base_seed)| {
+        run_cell(d, s, trials, duration, base_seed)
+    });
     let wall_secs = wall.elapsed().as_secs_f64();
-    let work_secs: f64 = timed.iter().map(|(_, _, _, secs)| secs).sum();
     // Merge in grid order (par_map places results by input index), so
     // the replayed journal and the summed counts are byte-identical at
     // any thread count.
     let mut stage_counts = StageCounts::default();
-    let mut cells: Vec<Cell> = Vec::with_capacity(timed.len());
-    for (cell, events, counts, _) in timed {
+    let mut cells: Vec<Cell> = Vec::with_capacity(runs.len());
+    for (cell, events, counts) in runs {
         stage_counts.merge(&counts);
         if env_obs.enabled() {
             env_obs.replay(&events);
@@ -237,11 +233,5 @@ fn main() {
     write_json("chaos_sweep", &sweep);
     let summary = RunSummary::new("chaos_sweep", pool.threads(), stage_counts, &env_obs);
     write_json("OBS_summary", &summary);
-    println!(
-        "perf: {} threads, {:.1} s wall, est. {:.2}x speedup vs 1 thread ({:.1} s aggregate cell work)",
-        pool.threads(),
-        wall_secs,
-        work_secs / wall_secs.max(1e-9),
-        work_secs
-    );
+    println!("perf: {} threads, {:.1} s wall", pool.threads(), wall_secs);
 }

@@ -170,7 +170,6 @@ fn main() {
     });
     let wall_secs = wall.elapsed().as_secs_f64();
 
-    let mut work_secs = 0.0;
     for out in outputs {
         println!("[{:7.1} s] {}", out.secs, out.label);
         print!("{}", out.report);
@@ -179,17 +178,10 @@ fn main() {
                 write_json_rendered(name, &json);
             }
         }
-        work_secs += out.secs;
     }
     observability_pass(pool.threads());
     println!("\ndone — see results/*.json and EXPERIMENTS.md");
-    println!(
-        "perf: {} threads, {:.1} s wall, est. {:.2}x speedup vs 1 thread ({:.1} s aggregate figure work)",
-        pool.threads(),
-        wall_secs,
-        work_secs / wall_secs.max(1e-9),
-        work_secs
-    );
+    println!("perf: {} threads, {:.1} s wall", pool.threads(), wall_secs);
 }
 
 /// Short observed end-to-end runs after the figures: a ship passage, a

@@ -44,12 +44,12 @@
 //!
 //! | Subsystem | What it adds | Module / crate |
 //! |---|---|---|
-//! | event loop | runs the sweep's per-node steps over only the nodes that can change, revisits resting nodes from a `(time, node)` heap, lazily charges sleepers; journal-, trace- and battery-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] |
+//! | event loop | runs the sweep's per-node steps over only the nodes that can change, revisits resting nodes from a `(time, node)` heap, lazily charges sleepers, senses each sampling node's next 25 ticks in one pool task; journal-, trace- and battery-identical to the fixed-tick sweep (DESIGN.md §15) | [`sched`], [`IntrusionDetectionSystem::run_events`] |
 //! | spectral front-end | real-input FFT, sliding STFT and Goertzel band power behind the eq. 7–8 / Fig. 6–7 classifiers (DESIGN.md §14) | `sid-dsp`, [`classify::SpectralClassifier`] |
 //! | streaming engine | push-based ingest of the eq. 4–8 detector with bounded rings and serde snapshot/restore (DESIGN.md §12) | `sid-stream` |
 //! | alerting edge | severity grading, token-bucket rate limiting and storm coalescing downstream of sink confirmation (DESIGN.md §13) | `sid-alert`, wired via `SystemConfig::alert` |
 //! | fleet index | spatial-hash neighbor tables, byte-identical to the brute-force scan (DESIGN.md §16) | `sid-net` (`Topology`, `NeighborIndex`) |
-//! | region sharding | Phase-A sensing fanned per spatial shard, radio deliveries on per-shard lanes merged in `(time, seq)` order (DESIGN.md §17) | `sid-net` (`ShardMap`), [`IntrusionDetectionSystem::with_shards`] |
+//! | region sharding | radio deliveries on per-shard lanes merged in `(time, seq)` order (DESIGN.md §17) | `sid-net` (`ShardMap`), [`IntrusionDetectionSystem::with_shards`] |
 //! | multi-tenant service | N sessions multiplexed on one pool with deterministic per-tenant journals and checkpoint/migrate/resume (DESIGN.md §17) | `sid-serve` |
 //!
 //! # Examples

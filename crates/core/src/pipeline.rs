@@ -9,7 +9,7 @@
 //! evaluates the spatial–temporal correlation and, on success, forwards a
 //! confirmed [`ClusterDetection`] (with speed estimate) to the sink.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -328,13 +328,40 @@ pub struct IntrusionDetectionSystem {
     /// Nodes charged or hit by a fault since their last visit; the
     /// event driver visits each on the next tick's steps.
     touched: Vec<usize>,
-    /// Region sharding ([`Self::with_shards`]): `None` runs unsharded.
-    /// With K > 1 shards, Phase A sensing fans out by spatial shard and
-    /// the network's delivery queue is partitioned into K destination
-    /// lanes — both proven byte-identical to the unsharded run (sensing
-    /// is pure and placed by index; lanes share one global sequence
-    /// counter and merge by `(time, seq)`).
-    shard_map: Option<ShardMap>,
+    /// Per node: its sense-ahead block, the scene evaluations Phase A
+    /// takes its samples from under the event driver (reset each call).
+    blocks: Vec<SenseBlock>,
+    /// Number of destination lanes the network's delivery queue is
+    /// partitioned into ([`Self::with_shards`]; 1 when unsharded).
+    shards: usize,
+}
+
+/// The most ticks one sense-ahead block covers: a pool task senses one
+/// node at this many consecutive tick times
+/// ([`IntrusionDetectionSystem::run_events`]).
+const SENSE_AHEAD_TICKS: u64 = 25;
+
+/// One node's scene evaluations at consecutive ticks of a `run_events`
+/// call, starting at tick `first_tick` (1-based within the call), whose
+/// time is `first_time`.
+#[derive(Default)]
+struct SenseBlock {
+    first_tick: u64,
+    first_time: f64,
+    samples: Vec<EnvSample>,
+}
+
+impl SenseBlock {
+    /// A block's tick times: each is the previous one plus `dt`, the
+    /// same addition that advances the live clock, so every entry is
+    /// bit-identical to sensing at its tick.
+    fn tick_times(first_time: f64, dt: f64) -> impl Iterator<Item = f64> {
+        std::iter::successors(Some(first_time), move |t| Some(t + dt))
+    }
+
+    fn covers(&self, tick: u64) -> bool {
+        tick >= self.first_tick && tick - self.first_tick < self.samples.len() as u64
+    }
 }
 
 impl IntrusionDetectionSystem {
@@ -439,7 +466,8 @@ impl IntrusionDetectionSystem {
             sleep_accounted: Vec::new(),
             active: Vec::new(),
             touched: Vec::new(),
-            shard_map: None,
+            blocks: Vec::new(),
+            shards: 1,
         }
     }
 
@@ -481,31 +509,28 @@ impl IntrusionDetectionSystem {
 
     /// Partitions the deployment into `shards` contiguous spatial
     /// regions ([`ShardMap`], cell-column boundaries shared with the
-    /// spatial-hash neighbor index) that advance concurrently inside
-    /// each tick: Phase A sensing fans out shard-by-shard on the worker
-    /// pool, and the network's delivery queue splits into one lane per
-    /// shard, merged back by `(time, seq)`. Every journal byte is
-    /// identical to the unsharded run — sensing is pure and results are
-    /// placed by index, Phase B stays sequential in node order, and the
-    /// lane merge reproduces the single-queue delivery order exactly
-    /// (the DST `variant_equivalence` oracle enforces this on fuzzed
-    /// scenarios). `shards <= 1` removes the partition.
+    /// spatial-hash neighbor index) and splits the network's delivery
+    /// queue into one lane per region, merged back by `(time, seq)`.
+    /// Sensing is not grouped by region: Phase A is dispatched per node
+    /// either way. Every journal byte is identical to the unsharded run
+    /// — the lane merge reproduces the single-queue delivery order
+    /// exactly (the DST `variant_equivalence` oracle enforces this on
+    /// fuzzed scenarios). `shards <= 1` removes the partition.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        if shards <= 1 {
-            self.network.set_shards(&ShardMap::single(self.topology.len()));
-            self.shard_map = None;
+        let map = if shards <= 1 {
+            ShardMap::single(self.topology.len())
         } else {
-            let map = ShardMap::from_topology(&self.topology, shards);
-            self.network.set_shards(&map);
-            self.shard_map = Some(map);
-        }
+            ShardMap::from_topology(&self.topology, shards)
+        };
+        self.network.set_shards(&map);
+        self.shards = map.shards();
         self
     }
 
     /// Number of spatial shards the deployment is partitioned into
     /// (1 when unsharded).
     pub fn shards(&self) -> usize {
-        self.shard_map.as_ref().map_or(1, ShardMap::shards)
+        self.shards
     }
 
     /// Replaces the sentinel mask with an index-stride pattern: node
@@ -1261,46 +1286,83 @@ impl IntrusionDetectionSystem {
         }
     }
 
-    /// Phase A part 2 for a whole sampling set: evaluates the scene for
-    /// every index in `sampling` at the current tick time, returning
-    /// results in `sampling` order.
-    ///
-    /// Unsharded, this is one [`Pool::par_map`](sid_exec::Pool::par_map)
-    /// over the sampling list. With a [`ShardMap`] installed
-    /// ([`Self::with_shards`]) the list is grouped by spatial shard and
-    /// each shard's slice is sensed as one pool task, results scattered
-    /// back by position. Both produce identical bytes: sensing is pure
-    /// (`&self`, no RNG), every position is written exactly once, and no
-    /// result depends on evaluation order — only the unit of pool
-    /// dispatch changes.
+    /// Phase A part 2 for the sweep: evaluates the scene for every index
+    /// in `sampling` at the current tick time, one
+    /// [`Pool::par_map`](sid_exec::Pool::par_map) over the sampling list.
+    /// Sensing is pure (`&self`, no RNG) and results land in `sampling`
+    /// order, so the pool size changes no byte.
     fn sense_all(&self, sampling: &[usize]) -> Vec<EnvSample> {
-        let nodes = &self.nodes;
-        let scene = &self.scene;
+        let (nodes, scene, now) = (&self.nodes, &self.scene, self.now);
+        self.pool
+            .par_map(sampling, |&idx| nodes[idx].sense_environment(scene, now))
+    }
+
+    /// Phase A part 2 for the event driver: refills, in one pool batch,
+    /// the [`SenseBlock`] of every node in `sampling` whose block does not
+    /// cover the current tick — each task senses one node at this tick
+    /// and the ones after it, up to [`SENSE_AHEAD_TICKS`] and never past
+    /// the call's last tick `steps` — then fills `envs` with each
+    /// sampling node's entry for this tick, in `sampling` order.
+    fn sense_from_blocks(
+        &mut self,
+        sampling: &[usize],
+        envs: &mut Vec<EnvSample>,
+        steps: u64,
+        dt: f64,
+    ) {
+        let tick = self.tick_index;
         let now = self.now;
-        match &self.shard_map {
-            Some(map) if map.shards() > 1 => {
-                let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); map.shards()];
-                for (pos, &idx) in sampling.iter().enumerate() {
-                    groups[map.shard_of(idx)].push((pos, idx));
-                }
-                let per_shard = self.pool.par_map(&groups, |group| {
-                    group
-                        .iter()
-                        .map(|&(pos, idx)| (pos, nodes[idx].sense_environment(scene, now)))
-                        .collect::<Vec<(usize, EnvSample)>>()
-                });
-                let mut envs: Vec<Option<EnvSample>> = vec![None; sampling.len()];
-                for (pos, env) in per_shard.into_iter().flatten() {
-                    envs[pos] = Some(env);
-                }
-                envs.into_iter()
-                    .map(|e| e.expect("every sampling position sensed by exactly one shard"))
-                    .collect()
+        let len = SENSE_AHEAD_TICKS.min(steps - tick + 1) as usize;
+        // Each refill reuses the node's spent buffer, sized here on the
+        // calling thread; its task takes the buffer out of its `Mutex`,
+        // fills it and returns it. Pool workers therefore never allocate,
+        // and a refill never holds a node's old and new block at once.
+        // (Filling it in place was slower: neighbouring refills' `Vec`
+        // headers share cache lines, and every push rewrites the length.)
+        let mut refills: Vec<Mutex<(usize, Vec<EnvSample>)>> = Vec::new();
+        for &idx in sampling {
+            if !self.blocks[idx].covers(tick) {
+                let mut samples = std::mem::take(&mut self.blocks[idx].samples);
+                samples.clear();
+                samples.reserve_exact(len);
+                refills.push(Mutex::new((idx, samples)));
             }
-            _ => self
-                .pool
-                .par_map(sampling, |&idx| nodes[idx].sense_environment(scene, now)),
         }
+        if !refills.is_empty() {
+            let (nodes, scene) = (&self.nodes, &self.scene);
+            let filled = self.pool.par_map(&refills, |refill| {
+                let (idx, buffer) = &mut *refill
+                    .lock()
+                    .expect("each refill is locked once, by its own task");
+                let mut samples = std::mem::take(buffer);
+                samples.extend(
+                    SenseBlock::tick_times(now, dt)
+                        .take(len)
+                        .map(|t| nodes[*idx].sense_environment(scene, t)),
+                );
+                (*idx, samples)
+            });
+            for (idx, samples) in filled {
+                self.blocks[idx] = SenseBlock {
+                    first_tick: tick,
+                    first_time: now,
+                    samples,
+                };
+            }
+        }
+        envs.clear();
+        envs.extend(sampling.iter().map(|&idx| {
+            let block = &self.blocks[idx];
+            let offset = (tick - block.first_tick) as usize;
+            debug_assert_eq!(
+                SenseBlock::tick_times(block.first_time, dt)
+                    .nth(offset)
+                    .map(f64::to_bits),
+                Some(self.now.to_bits()),
+                "node {idx}: block time diverged from the clock at tick {tick}"
+            );
+            block.samples[offset]
+        }));
     }
 
     /// Closes the current tick: pushes one pre-sensed environment sample
@@ -1396,9 +1458,8 @@ impl IntrusionDetectionSystem {
                 None
             };
             // Phase A, part 2: evaluate the scene for every sampling node.
-            // Pure (`&self`, no RNG), so the pool may fan it out — per
-            // node, or per spatial shard when a shard map is installed;
-            // results are placed by input index either way.
+            // Pure (`&self`, no RNG), so the pool may fan it out per node;
+            // results are placed by input index.
             let envs = self.sense_all(&sampling);
             drop(sense_span);
             self.finish_tick(&sampling, &envs);
@@ -1469,6 +1530,15 @@ impl IntrusionDetectionSystem {
     /// except for its sleep charge, which is deferred and settled
     /// bit-identically on demand (`settle_sleep`) and at exit. Any
     /// superset of the needed nodes is therefore exact.
+    ///
+    /// Phase A senses ahead: a sampling node takes each tick's scene
+    /// evaluation from its sense-ahead block, one pool task's worth of
+    /// its next 25 ticks, and the nodes whose block
+    /// runs out on a tick are refilled together in one pool batch.
+    /// Sensing is pure and reads only the buoy and the scene, which no
+    /// step of a run mutates, and a block's tick times come from the
+    /// same `+ dt` additions as the live clock — so a block entry is
+    /// bit-identical to sensing at its tick, whenever it was computed.
     pub fn run_events(&mut self, duration: f64) {
         let steps = self.tick_count(duration);
         let dt = self.tick_dt();
@@ -1488,8 +1558,11 @@ impl IntrusionDetectionSystem {
         self.active.clear();
         self.active.resize(n, false);
         self.touched.clear();
+        self.blocks.clear();
+        self.blocks.resize_with(n, SenseBlock::default);
         let mut revisits = EventHeap::new();
         let mut sampling: Vec<usize> = Vec::with_capacity(n);
+        let mut envs: Vec<EnvSample> = Vec::with_capacity(n);
         for idx in 0..n {
             if self.failed[idx] {
                 continue;
@@ -1595,7 +1668,7 @@ impl IntrusionDetectionSystem {
             } else {
                 None
             };
-            let envs = self.sense_all(&sampling);
+            self.sense_from_blocks(&sampling, &mut envs, steps, dt);
             drop(sense_span);
             self.finish_tick(&sampling, &envs);
             for &idx in &resting {
@@ -1633,6 +1706,7 @@ impl IntrusionDetectionSystem {
         }
         self.event_mode = false;
         self.touched.clear();
+        self.blocks.clear();
         self.trace.elapsed = self.now;
     }
 
@@ -2181,23 +2255,29 @@ mod tests {
         assert!(stats.delivered > 0);
     }
 
-    /// Runs the same scenario under the tick sweep (one call) and the
-    /// event loop (`chunks` equal calls) and asserts bit-identity:
-    /// journal, counts, trace, the accumulated clock, every node's
-    /// battery down to the float bits, and every failure flag.
+    /// Runs the same scenario under the tick sweep (one call over the
+    /// whole span, on a one-thread pool) and the event loop (one call per
+    /// entry of `calls`, in seconds, on a `threads`-wide pool) and
+    /// asserts bit-identity: journal, counts, trace, the accumulated
+    /// clock, every node's battery down to the float bits, and every
+    /// failure flag.
     fn assert_scheduler_equivalent(
         mk: impl Fn() -> IntrusionDetectionSystem,
-        duration: f64,
-        chunks: usize,
+        threads: usize,
+        calls: &[f64],
         label: &str,
     ) {
         let obs_a = sid_obs::Obs::in_memory();
-        let mut a = mk().with_obs(obs_a.clone());
-        a.run(duration);
+        let mut a = mk()
+            .with_pool(Arc::new(sid_exec::Pool::new(1)))
+            .with_obs(obs_a.clone());
+        a.run(calls.iter().sum());
         let obs_b = sid_obs::Obs::in_memory();
-        let mut b = mk().with_obs(obs_b.clone());
-        for _ in 0..chunks {
-            b.run_events(duration / chunks as f64);
+        let mut b = mk()
+            .with_pool(Arc::new(sid_exec::Pool::new(threads)))
+            .with_obs(obs_b.clone());
+        for &call in calls {
+            b.run_events(call);
         }
         assert_eq!(
             obs_a.events().expect("in-memory"),
@@ -2260,8 +2340,8 @@ mod tests {
         probe.run(300.0);
         let ran_out = (0..25).filter(|&i| probe.is_failed(i)).count();
         assert!(ran_out >= 10, "only {ran_out} sleepers ran out");
-        assert_scheduler_equivalent(mk, 300.0, 1, "sleepers run out");
-        assert_scheduler_equivalent(mk, 300.0, 300, "sleepers run out, 1 s calls");
+        assert_scheduler_equivalent(mk, 2, &[300.0], "sleepers run out");
+        assert_scheduler_equivalent(mk, 2, &[1.0; 300], "sleepers run out, 1 s calls");
     }
 
     #[test]
@@ -2277,7 +2357,12 @@ mod tests {
                     sentinel.then_some(23.0 + 2.0 * k as f64 + 0.3 * idx as f64)
                 })
             };
-            assert_scheduler_equivalent(mk, 120.0, 120, &format!("sentinel battery setting {k}"));
+            assert_scheduler_equivalent(
+                mk,
+                2,
+                &[1.0; 120],
+                &format!("sentinel battery setting {k}"),
+            );
         }
     }
 
@@ -2319,15 +2404,15 @@ mod tests {
         probe.run(1.0);
         assert_eq!(probe.trace().head_failovers, 1);
         assert!(probe.is_failed(2) && probe.is_failed(7));
-        assert_scheduler_equivalent(mk, 1.0, 1, "failover drains a resting member");
+        assert_scheduler_equivalent(mk, 2, &[1.0], "failover drains a resting member");
     }
 
     #[test]
     fn event_loop_matches_tick_loop_on_crossing_ship() {
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(2, true), quiet_config(), 43),
-            300.0,
-            1,
+            2,
+            &[300.0],
             "crossing ship",
         );
     }
@@ -2347,23 +2432,24 @@ mod tests {
         // get exercised.
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(21, true), on, 62),
-            300.0,
-            1,
+            2,
+            &[300.0],
             "duty cycling",
         );
         // And a quiet duty-cycled sea: the idle-heavy case the event
         // driver exists for (sentinels only, everyone else asleep).
         assert_scheduler_equivalent(
             || IntrusionDetectionSystem::new(build_scene(20, false), on, 61),
-            300.0,
-            1,
+            2,
+            &[300.0],
             "quiet duty cycling",
         );
     }
 
-    #[test]
-    fn event_loop_matches_tick_loop_under_chaos() {
-        let cfg = SystemConfig {
+    /// Deaths, outages (incl. of sleeping nodes), drift spikes, stuck
+    /// channels, burst loss, and duty cycling at once.
+    fn chaos_config() -> SystemConfig {
+        SystemConfig {
             burst: GilbertElliott::sea_surface(0.5),
             duty_cycle: DutyCycleConfig {
                 enabled: true,
@@ -2379,15 +2465,158 @@ mod tests {
                 ..FaultPlanConfig::default()
             },
             ..quiet_config()
-        };
-        // Deaths, outages (incl. of sleeping nodes), drift spikes, stuck
-        // channels, burst loss, and duty cycling at once.
+        }
+    }
+
+    #[test]
+    fn event_loop_matches_tick_loop_under_chaos() {
         assert_scheduler_equivalent(
-            || IntrusionDetectionSystem::new(build_scene(2, true), cfg, 43),
-            300.0,
-            1,
+            || IntrusionDetectionSystem::new(build_scene(2, true), chaos_config(), 43),
+            2,
+            &[300.0],
             "chaos campaign",
         );
+    }
+
+    /// Call lengths in ticks, repeated until they cover `ticks`: 1, 37,
+    /// 50 and 123, of which only 50 is a multiple of the block length.
+    fn uneven_calls(ticks: u64) -> Vec<u64> {
+        let mut calls = Vec::new();
+        let mut left = ticks;
+        for &k in [1, 37, 50, 123].iter().cycle() {
+            if left == 0 {
+                break;
+            }
+            calls.push(k.min(left));
+            left -= k.min(left);
+        }
+        calls
+    }
+
+    /// How the event loop's sense-ahead blocks meet `sys`'s sampling
+    /// changes when it runs in calls of `calls` ticks. Steps the sweep
+    /// one tick at a time, reads who sampled each tick (a live node whose
+    /// sample-or-rest branch sampled leaves `was_asleep` clear), and
+    /// replays the refill rule on that. Returns the number of times a
+    /// node started sampling after its call's first tick and took a
+    /// block of its own, stopped while its block still covered the
+    /// tick, and started again inside its old block's range.
+    fn block_edges(mut sys: IntrusionDetectionSystem, calls: &[u64]) -> (usize, usize, usize) {
+        let n = sys.nodes.len();
+        let dt = sys.tick_dt();
+        let (mut joins, mut stops, mut reuses) = (0, 0, 0);
+        let mut sampled_before = vec![false; n];
+        let mut tick = 0;
+        for &len in calls {
+            let call_start = tick + 1;
+            let call_end = tick + len;
+            let mut blocks: Vec<Option<(u64, u64)>> = vec![None; n];
+            for _ in 0..len {
+                tick += 1;
+                sys.run(dt);
+                for idx in 0..n {
+                    let sampled = !sys.failed[idx] && !sys.was_asleep[idx];
+                    let covered =
+                        blocks[idx].is_some_and(|(first, last)| (first..=last).contains(&tick));
+                    match (sampled_before[idx], sampled) {
+                        (false, true) if covered => reuses += 1,
+                        (false, true) if tick > call_start => joins += 1,
+                        (true, false) if covered => stops += 1,
+                        _ => {}
+                    }
+                    if sampled && !covered {
+                        blocks[idx] = Some((tick, call_end.min(tick + SENSE_AHEAD_TICKS - 1)));
+                    }
+                    sampled_before[idx] = sampled;
+                }
+            }
+        }
+        (joins, stops, reuses)
+    }
+
+    #[test]
+    fn sense_ahead_blocks_match_the_sweep_at_every_call_length_and_pool_width() {
+        let dt = quiet_config().detector.sample_rate.recip();
+        let check = |mk: &dyn Fn() -> IntrusionDetectionSystem, seconds: f64, label: &str| {
+            let calls = uneven_calls(ticks_in(seconds, dt));
+            let (joins, stops, reuses) = block_edges(mk(), &calls);
+            assert!(
+                joins > 0 && stops > 0,
+                "{label}: {joins} mid-call joins, {stops} mid-block stops"
+            );
+            let secs: Vec<f64> = calls.iter().map(|&k| k as f64 * dt).collect();
+            for threads in [1, 2, 4, 8] {
+                assert_scheduler_equivalent(
+                    mk,
+                    threads,
+                    &secs,
+                    &format!("{label}, {threads} threads"),
+                );
+            }
+            reuses
+        };
+        // The ship's invites wake sleepers mid-block; the leases of the
+        // first ones run out by 200 s.
+        let on = SystemConfig {
+            duty_cycle: DutyCycleConfig {
+                enabled: true,
+                wake_duration: 120.0,
+                ..DutyCycleConfig::default()
+            },
+            ..quiet_config()
+        };
+        check(
+            &|| IntrusionDetectionSystem::new(build_scene(21, true), on, 62),
+            200.0,
+            "duty grid",
+        );
+        // The chaos campaign, plus three faults on sampling sentinels
+        // that land inside a block of the 1/37/50/123-tick calls: a
+        // 0.1 s outage from tick 100 (the node comes back at tick 105
+        // and reads its old block), a 3.1 s outage from tick 125 to
+        // tick 280, and a death at tick 165.
+        let chaos = || {
+            let sys = IntrusionDetectionSystem::new(build_scene(2, true), chaos_config(), 43);
+            let mut plan = sys.fault_plan().clone();
+            for (time, node, kind) in [
+                (1.99, 12, FaultKind::Outage { duration: 0.1 }),
+                (2.49, 14, FaultKind::Outage { duration: 3.1 }),
+                (3.29, 22, FaultKind::Death),
+            ] {
+                plan.push(FaultEvent { time, node, kind });
+            }
+            sys.replace_fault_plan(plan)
+        };
+        let reuses = check(&chaos, 150.0, "chaos");
+        assert!(reuses > 0, "no node restarted inside its old block");
+    }
+
+    #[test]
+    fn event_loop_dispatches_one_pool_batch_per_block() {
+        // An always-on 4×4 grid without faults: every node samples every
+        // tick, so each 50-tick call refills all blocks together on its
+        // ticks 1 and 26 — one pool batch each — and senses nothing in
+        // between.
+        let pool = Arc::new(sid_exec::Pool::new(2));
+        let obs = sid_obs::Obs::in_memory();
+        pool.set_obs(obs.clone());
+        let mut sys = IntrusionDetectionSystem::new(
+            build_scene(1, false),
+            SystemConfig::paper_default(4, 4),
+            42,
+        )
+        .with_pool(pool);
+        assert!(sys.fault_plan().is_empty());
+        sys.run_events(1.0);
+        sys.run_events(1.0);
+        let batches: u64 = obs
+            .wall()
+            .counters
+            .iter()
+            .filter(|c| c.counter == "exec_batches")
+            .map(|c| c.count)
+            .sum();
+        assert_eq!(batches, 2 * 50u64.div_ceil(SENSE_AHEAD_TICKS));
     }
 
     #[test]
@@ -2415,7 +2644,7 @@ mod tests {
             .expect("finite retune time");
             sys
         };
-        assert_scheduler_equivalent(mk, 300.0, 1, "hot reload");
+        assert_scheduler_equivalent(mk, 2, &[300.0], "hot reload");
     }
 
     #[test]
@@ -2486,7 +2715,7 @@ mod tests {
                 plan.clone(),
             )
         };
-        assert_scheduler_equivalent(mk, 120.0, 1, "zero-duration outage");
+        assert_scheduler_equivalent(mk, 2, &[120.0], "zero-duration outage");
     }
 
     #[test]

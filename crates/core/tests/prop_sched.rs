@@ -104,9 +104,12 @@ proptest! {
 }
 
 /// The event-driven driver is byte-identical to the tick sweep on worker
-/// pools of 1, 2, 4 and 8 threads: the active set shrinks Phase A, but
-/// results are still placed by node index and all RNG draws stay
-/// sequential on the caller thread, so pool size must not matter.
+/// pools of 1, 2, 4 and 8 threads: Phase A senses each sampling node's
+/// next ticks ahead in one pool task, but results are still placed by
+/// node index and all RNG draws stay sequential on the caller thread, so
+/// pool size must not matter. The event side splits its 90 s into calls
+/// of 1, 37, 50 and 123 ticks, so sense-ahead blocks are cut at call
+/// ends that are not block ends.
 #[test]
 fn event_loop_is_byte_identical_across_pool_sizes() {
     let build = || {
@@ -130,7 +133,16 @@ fn event_loop_is_byte_identical_across_pool_sizes() {
     let fingerprint = |threads: usize, events: bool| {
         let mut sys = build().with_pool(std::sync::Arc::new(sid_exec::Pool::new(threads)));
         if events {
-            sys.run_events(90.0);
+            let dt = sys.tick_dt();
+            let mut left = sys.tick_count(90.0);
+            for &ticks in [1u64, 37, 50, 123].iter().cycle() {
+                if left == 0 {
+                    break;
+                }
+                let ticks = ticks.min(left);
+                sys.run_events(ticks as f64 * dt);
+                left -= ticks;
+            }
         } else {
             sys.run(90.0);
         }

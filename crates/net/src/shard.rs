@@ -2,11 +2,10 @@
 //!
 //! A [`ShardMap`] splits a deployment into `K` contiguous regions along
 //! the same cell grid the spatial-hash neighbor index uses (cell size =
-//! radio range, see [`crate::topology`]). Shards are the unit of
-//! concurrency for region-parallel drivers: pure per-node work fans out
-//! by shard, while cross-shard radio traffic is merged back into one
-//! deterministic delivery order by the lane-partitioned scheduler in
-//! [`crate::sim`]. The partition is a pure function of node positions,
+//! radio range, see [`crate::topology`]). Each shard gets its own radio
+//! delivery lane, and the lane-partitioned scheduler in [`crate::sim`]
+//! merges cross-shard traffic back into one deterministic delivery
+//! order. The partition is a pure function of node positions,
 //! radio range, and `K` — no RNG — so every run over the same topology
 //! gets the same map.
 

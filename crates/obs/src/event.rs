@@ -499,7 +499,12 @@ impl StageCounts {
 pub enum Stage {
     /// Fault application + battery/outage sweeps.
     Faults,
-    /// Phase A of a tick: branch decisions + parallel scene evaluation.
+    /// Phase A scene evaluation, after the tick's sample-or-rest
+    /// decisions. Under `run_events`: refilling, in one pool batch, the
+    /// sense-ahead blocks of the sampling nodes whose block ran out (each
+    /// task senses one node's next 25 ticks), then reading this tick's
+    /// entries. Under the reference sweep `run`: one pool batch sensing
+    /// every sampling node at the current tick.
     PhaseASense,
     /// Phase B of a tick: accelerometer + detector + report handling.
     PhaseBDetect,

@@ -5,8 +5,8 @@
 //! independent tenant sessions — each a full detection pipeline with
 //! its own seed, scenario, journal, and alerting edge — over one shared
 //! `sid-exec` worker pool. Inside a session, [`SessionSpec::with_shards`]
-//! partitions the deployment into K spatial regions that advance
-//! concurrently and merge cross-shard radio deliveries back into one
+//! partitions the deployment into K spatial regions, each with its own
+//! radio delivery lane, and merges the lanes back into one
 //! deterministic order (`sid-net`'s lane-partitioned scheduler).
 //!
 //! Everything stays deterministic: a session's journal is a pure
